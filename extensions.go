@@ -127,13 +127,15 @@ func FindPartialINDs(db *Database, opts PartialOptions) ([]PartialIND, Stats, er
 	if opts.Store != nil {
 		writeDS, readDS = opts.Store.datasets(workDir)
 	}
-	attrs, err := ind.CollectAttributes(db.rel)
+	// Every partial path extracts, and extraction fills the statistics.
+	attrs, err := ind.CatalogAttributes(db.rel)
 	if err != nil {
 		return nil, Stats{}, err
 	}
 
-	// Extraction, hoisted before candidate generation so that sketches
-	// (built in the same pass) exist by the time the pre-filter runs.
+	// Extraction, hoisted before candidate generation so that statistics
+	// and sketches (built in the same pass) exist by the time the
+	// pretests and the pre-filter run.
 	var counter valfile.ReadCounter
 	exportCfg := ind.ExportConfig{
 		Dataset: writeDS,

@@ -84,32 +84,45 @@ func (a *Attribute) ReferencedCandidate() bool {
 	return a.NonEmpty() && a.Unique && a.Kind != value.LOB
 }
 
-// CollectAttributes gathers one Attribute per column of db, in catalog
-// order, computing statistics from the stored data.
-func CollectAttributes(db *relstore.Database) ([]*Attribute, error) {
+// CatalogAttributes lists one Attribute per column of db, in catalog
+// order, with identity and kind only. Its statistics stay zero until an
+// extraction (ExportAttributes, StreamAttributes, StreamAttributesShared)
+// derives them from the same scan that sorts the values.
+func CatalogAttributes(db *relstore.Database) ([]*Attribute, error) {
 	var out []*Attribute
 	for _, ref := range db.Columns() {
-		st, err := db.ColumnStats(ref)
-		if err != nil {
-			return nil, err
-		}
 		kind, err := db.ColumnKind(ref)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, &Attribute{
-			ID:           len(out),
-			Ref:          ref,
-			Kind:         kind,
-			Rows:         st.Rows,
-			NonNull:      st.NonNull,
-			Distinct:     st.Distinct,
-			Unique:       st.Unique,
-			MinCanonical: st.MinCanonical,
-			MaxCanonical: st.MaxCanonical,
-		})
+		out = append(out, &Attribute{ID: len(out), Ref: ref, Kind: kind})
 	}
 	return out, nil
+}
+
+// CollectAttributes gathers one Attribute per column of db, in catalog
+// order, computing statistics from the stored data. It is for the
+// engines that never extract value sets; extracting paths list the
+// catalog (CatalogAttributes) and get the statistics from extraction.
+func CollectAttributes(db *relstore.Database) ([]*Attribute, error) {
+	out, err := CatalogAttributes(db)
+	if err != nil {
+		return nil, err
+	}
+	for _, a := range out {
+		st, err := db.ColumnStats(a.Ref)
+		if err != nil {
+			return nil, err
+		}
+		a.setStats(st)
+	}
+	return out, nil
+}
+
+// setStats copies the column statistics the pretests read.
+func (a *Attribute) setStats(st relstore.ColumnStats) {
+	a.Rows, a.NonNull, a.Distinct, a.Unique = st.Rows, st.NonNull, st.Distinct, st.Unique
+	a.MinCanonical, a.MaxCanonical = st.MinCanonical, st.MaxCanonical
 }
 
 // ExportConfig controls sorted value set export.
@@ -128,11 +141,10 @@ type ExportConfig struct {
 	// extraction scales with cores. Zero or one exports sequentially.
 	Workers int
 	// Sketches additionally builds each attribute's pre-filter sketch
-	// (KMV min-hash signature + partitioned bloom filter) in the same
-	// streaming pass — during the final merge for file exports (each
-	// distinct value observed once), or during the column scan on the
-	// streaming paths. File exports persist the sketch next to the value
-	// file under the sketch.FileSuffix name.
+	// (KMV min-hash signature + partitioned bloom filter) without another
+	// column scan: the extraction scan's distinct set feeds it, each
+	// distinct value once. File exports persist the sketch next to the
+	// value file under the sketch.FileSuffix name.
 	Sketches bool
 	// SketchConfig sizes the sketches; the zero value selects the
 	// sketch package defaults.
@@ -145,7 +157,8 @@ type ExportConfig struct {
 }
 
 // ExportAttributes writes each attribute's sorted distinct value file into
-// cfg.Dir and fills Attribute.Path. This is the paper's extraction step:
+// cfg.Dir, fills Attribute.Path and, from the same column scan, the
+// attribute's statistics. This is the paper's extraction step:
 // "All value sets are extracted from the database and stored in sorted
 // files" (Sec 3.2), with the sort performed once per attribute rather than
 // once per IND test — the first optimization of Sec 1.2. With
@@ -221,18 +234,13 @@ func forEachAttribute(attrs []*Attribute, workers int, fn func(*Attribute) error
 }
 
 // exportAttribute extracts, sorts and stages one attribute's value set
-// into ds, deriving and persisting its sketch in the same pass when
-// configured.
+// into ds, persisting the sketch the extraction built when configured.
 func exportAttribute(db *relstore.Database, a *Attribute, cfg ExportConfig, ds store.Dataset) error {
-	sorter, err := fillSorter(db, a, cfg.Sort, nil)
+	sorter, err := extract(db, a, cfg)
 	if err != nil {
 		return err
 	}
 	defer sorter.Discard() // no-op after DrainTo; reclaims runs on early error
-	// The sketch taps the final merge rather than the raw column scan:
-	// each distinct value is observed exactly once, so the builder does
-	// per-distinct work instead of per-row work.
-	builder, observe := sketchObserver(cfg, a)
 	key := attrFileName(a)
 	w, err := ds.Create(key)
 	if err != nil {
@@ -243,7 +251,7 @@ func exportAttribute(db *relstore.Database, a *Attribute, cfg ExportConfig, ds s
 		removeIfPresent(ds, key)
 		return err
 	}
-	n, max, meta, err := sorter.DrainTo(w, observe)
+	n, _, meta, err := sorter.DrainTo(w, nil)
 	if err != nil {
 		return abort(err)
 	}
@@ -255,8 +263,7 @@ func exportAttribute(db *relstore.Database, a *Attribute, cfg ExportConfig, ds s
 	// The finished sketch is staged as a section of the value set itself:
 	// block files embed it, text files persist the byte-identical sidecar,
 	// memory datasets keep the payload in their section map.
-	if builder != nil {
-		a.Sketch = builder.Finish()
+	if cfg.Sketches {
 		var buf bytes.Buffer
 		if err := a.Sketch.Encode(&buf); err != nil {
 			return abort(err)
@@ -269,6 +276,8 @@ func exportAttribute(db *relstore.Database, a *Attribute, cfg ExportConfig, ds s
 		removeIfPresent(ds, key)
 		return err
 	}
+	// The sorter's deduplication and the statistics' hash set count the
+	// distinct values independently; a mismatch means one of them is wrong.
 	if n != a.Distinct {
 		return fmt.Errorf("ind: %s: exported %d distinct values, stats say %d", a.Ref, n, a.Distinct)
 	}
@@ -276,7 +285,6 @@ func exportAttribute(db *relstore.Database, a *Attribute, cfg ExportConfig, ds s
 	if fs, ok := ds.(*store.FS); ok {
 		a.Path = fs.Path(key)
 	}
-	a.MaxCanonical = max
 	return nil
 }
 
@@ -321,44 +329,47 @@ func LoadSketches(ds store.Dataset, attrs []*Attribute) error {
 	return nil
 }
 
-// fillSorter pushes the attribute's non-null canonical values through a
-// fresh external sorter. observe (may be nil) additionally receives
-// every scanned canonical value — the raw bag, duplicates included —
-// which is how the streaming paths derive sketches without a second
-// pass (the sketch builder tolerates duplicates).
-func fillSorter(db *relstore.Database, a *Attribute, cfg extsort.Config, observe func(string)) (*extsort.Sorter, error) {
+// extract scans the attribute's column once: each non-null value is
+// canonicalised once, and that string feeds both a fresh external sorter
+// and the column's statistics accumulator (NULLs feed the accumulator
+// only). It sets the attribute's statistics and, when cfg asks for
+// sketches, builds the sketch from the scan's distinct set, sized by the
+// exact distinct count. On error every spill run the sorter already
+// wrote is removed.
+func extract(db *relstore.Database, a *Attribute, cfg ExportConfig) (*extsort.Sorter, error) {
 	t := db.Table(a.Ref.Table)
 	if t == nil {
 		return nil, fmt.Errorf("ind: unknown table %q", a.Ref.Table)
 	}
-	sorter := extsort.New(cfg)
+	sorter := extsort.New(cfg.Sort)
+	var acc relstore.StatsAccumulator
 	var addErr error
-	if _, err := t.ScanColumn(a.Ref.Column, func(v value.Value) {
-		if addErr != nil || v.IsNull() {
+	_, err := t.ScanColumn(a.Ref.Column, func(v value.Value) {
+		if addErr != nil {
+			return
+		}
+		if v.IsNull() {
+			acc.AddNull()
 			return
 		}
 		c := v.Canonical()
-		if observe != nil {
-			observe(c)
-		}
+		acc.Add(c)
 		addErr = sorter.Add(c)
-	}); err != nil {
+	})
+	if err == nil {
+		err = addErr
+	}
+	if err != nil {
+		sorter.Discard()
 		return nil, err
 	}
-	if addErr != nil {
-		return nil, addErr
+	a.setStats(acc.Stats())
+	if cfg.Sketches {
+		b := sketch.NewBuilder(cfg.SketchConfig, a.Distinct)
+		acc.EachDistinct(b.Add)
+		a.Sketch = b.Finish()
 	}
 	return sorter, nil
-}
-
-// sketchObserver returns a builder and its observe function when cfg
-// asks for sketches, or (nil, nil) otherwise.
-func sketchObserver(cfg ExportConfig, a *Attribute) (*sketch.Builder, func(string)) {
-	if !cfg.Sketches {
-		return nil, nil
-	}
-	b := sketch.NewBuilder(cfg.SketchConfig, a.Distinct)
-	return b, b.Add
 }
 
 // StreamAttributes loads every attribute's values into an external sorter
@@ -373,13 +384,9 @@ func StreamAttributes(db *relstore.Database, attrs []*Attribute, cfg ExportConfi
 	src := NewSorterSource(counter)
 	var mu sync.Mutex
 	err := forEachAttribute(attrs, cfg.Workers, func(a *Attribute) error {
-		builder, observe := sketchObserver(cfg, a)
-		sorter, err := fillSorter(db, a, cfg.Sort, observe)
+		sorter, err := extract(db, a, cfg)
 		if err != nil {
 			return err
-		}
-		if builder != nil {
-			a.Sketch = builder.Finish()
 		}
 		mu.Lock()
 		src.Add(a, sorter)
@@ -406,15 +413,11 @@ func StreamAttributesShared(db *relstore.Database, attrs []*Attribute, cfg Expor
 	src := NewRunsSource(counter)
 	var mu sync.Mutex
 	err := forEachAttribute(attrs, cfg.Workers, func(a *Attribute) error {
-		builder, observe := sketchObserver(cfg, a)
-		sorter, err := fillSorter(db, a, cfg.Sort, observe)
+		sorter, err := extract(db, a, cfg)
 		if err != nil {
 			return err
 		}
 		defer sorter.Discard() // no-op once Freeze moved ownership to runs
-		if builder != nil {
-			a.Sketch = builder.Finish()
-		}
 		runs, err := sorter.Freeze()
 		if err != nil {
 			return err
@@ -448,10 +451,11 @@ func attrFileName(a *Attribute) string {
 	return fmt.Sprintf("%05d_%s_%s.val", a.ID, sanitize(a.Ref.Table), sanitize(a.Ref.Column))
 }
 
-// Prepare is the common preamble of the order-based algorithms: collect
-// attributes and export their sorted value files.
+// Prepare is the common preamble of the order-based algorithms: list the
+// attributes and export their sorted value files, which fills their
+// statistics in the same pass.
 func Prepare(db *relstore.Database, cfg ExportConfig) ([]*Attribute, error) {
-	attrs, err := CollectAttributes(db)
+	attrs, err := CatalogAttributes(db)
 	if err != nil {
 		return nil, err
 	}

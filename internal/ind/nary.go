@@ -12,6 +12,7 @@ import (
 	"spider/internal/relstore"
 	"spider/internal/store"
 	"spider/internal/valfile"
+	"spider/internal/value"
 )
 
 // The paper closes its related-work discussion with: "We believe that our
@@ -321,15 +322,9 @@ func DiscoverNary(db *relstore.Database, opts NaryOptions) (*NaryResult, error) 
 	}
 
 	// Level 1 over all eligible columns.
-	attrs, err := CollectAttributes(db)
+	eligible, err := seedColumns(db, opts, workDir)
 	if err != nil {
 		return nil, err
-	}
-	var eligible []*Attribute
-	for _, a := range attrs {
-		if a.DependentCandidate() { // non-empty, non-LOB
-			eligible = append(eligible, a)
-		}
 	}
 	satisfiedKeys := make(map[string]bool)
 	current, err := unarySeed(db, eligible, opts, workDir, verifier, res, satisfiedKeys)
@@ -381,11 +376,70 @@ func naryWorkers(n int) int {
 	return n
 }
 
+// seedByMerge reports whether the unary seed is verified by one
+// SpiderMerge pass over extracted value sets: always for the NaryMerge
+// engine, and for the tuple-sets engine when it has a work directory or
+// a dataset to extract into.
+func seedByMerge(opts NaryOptions, workDir string) bool {
+	return opts.Algorithm == NaryMerge || workDir != "" || opts.Store != nil
+}
+
+// seedColumns lists the columns level 1 admits: every non-empty non-LOB
+// column (Attribute.DependentCandidate). The merge seed gets the
+// statistics from its own extraction, so it lists the catalog only; the
+// in-memory seed never extracts and collects them up front. Either way
+// non-emptiness is a probe for a first non-null value, not a stats pass.
+func seedColumns(db *relstore.Database, opts NaryOptions, workDir string) ([]*Attribute, error) {
+	list := CollectAttributes
+	if seedByMerge(opts, workDir) {
+		list = CatalogAttributes
+	}
+	attrs, err := list(db)
+	if err != nil {
+		return nil, err
+	}
+	var eligible []*Attribute
+	for _, a := range attrs {
+		if a.Kind == value.LOB {
+			continue
+		}
+		nonEmpty, err := db.Table(a.Ref.Table).HasNonNull(a.Ref.Column)
+		if err != nil {
+			return nil, err
+		}
+		if nonEmpty {
+			eligible = append(eligible, a)
+		}
+	}
+	return eligible, nil
+}
+
+// seedCandidates lists every ordered pair of distinct eligible columns
+// that passes the distinct-cardinality pretest, counting every ordered
+// pair, pruned or not, as a level-1 candidate. The eligible columns'
+// statistics must be filled.
+func seedCandidates(eligible []*Attribute, res *NaryResult) []Candidate {
+	var cands []Candidate
+	for _, d := range eligible {
+		for _, r := range eligible {
+			if d.Ref == r.Ref {
+				continue
+			}
+			res.Stats.CandidatesByArity[1]++
+			if d.Distinct > r.Distinct {
+				continue
+			}
+			cands = append(cands, Candidate{Dep: d, Ref: r})
+		}
+	}
+	return cands
+}
+
 // unarySeed computes the satisfied arity-1 inclusions over the eligible
-// columns, recording them into res and satisfiedKeys. The NaryMerge
-// engine (or, for the tuple-sets engine, a non-empty WorkDir) verifies
-// all pairs in one SpiderMerge pass over exported value files or
-// spill-run streams; otherwise each pair probes the in-memory tuple sets.
+// columns, recording them into res and satisfiedKeys. The merge seed
+// (seedByMerge) verifies all pairs in one SpiderMerge pass over exported
+// value files or spill-run streams; otherwise each pair probes the
+// in-memory tuple sets.
 func unarySeed(db *relstore.Database, eligible []*Attribute, opts NaryOptions, workDir string, verifier *tupleVerifier, res *NaryResult, satisfiedKeys map[string]bool) ([]naryCand, error) {
 	record := func(dep, ref relstore.ColumnRef) naryCand {
 		c := naryCand{
@@ -397,22 +451,9 @@ func unarySeed(db *relstore.Database, eligible []*Attribute, opts NaryOptions, w
 		return c
 	}
 
-	if opts.Algorithm == NaryMerge || workDir != "" || opts.Store != nil {
-		var cands []Candidate
-		for _, d := range eligible {
-			for _, r := range eligible {
-				if d.Ref == r.Ref {
-					continue
-				}
-				res.Stats.CandidatesByArity[1]++
-				if d.Distinct > r.Distinct {
-					continue
-				}
-				cands = append(cands, Candidate{Dep: d, Ref: r})
-			}
-		}
+	if seedByMerge(opts, workDir) {
 		var counter valfile.ReadCounter
-		merged, err := mergeUnarySeed(db, eligible, cands, opts, workDir, &counter)
+		merged, err := mergeUnarySeed(db, eligible, opts, workDir, res, &counter)
 		if err != nil {
 			return nil, err
 		}
@@ -427,36 +468,27 @@ func unarySeed(db *relstore.Database, eligible []*Attribute, opts NaryOptions, w
 	}
 
 	var current []naryCand
-	for _, d := range eligible {
-		for _, r := range eligible {
-			if d.Ref == r.Ref {
-				continue
-			}
-			res.Stats.CandidatesByArity[1]++
-			if d.Distinct > r.Distinct {
-				continue
-			}
-			c := naryCand{
-				depTable: d.Ref.Table, refTable: r.Ref.Table,
-				pairs: []pairKey{{dep: d.Ref, ref: r.Ref}},
-			}
-			ok, err := verifier.holds(c)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
+	for _, sc := range seedCandidates(eligible, res) {
+		c := naryCand{
+			depTable: sc.Dep.Ref.Table, refTable: sc.Ref.Ref.Table,
+			pairs: []pairKey{{dep: sc.Dep.Ref, ref: sc.Ref.Ref}},
+		}
+		ok, err := verifier.holds(c)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
 			current = append(current, record(c.pairs[0].dep, c.pairs[0].ref))
 		}
 	}
 	return current, nil
 }
 
-// mergeUnarySeed verifies the unary seed candidates with the requested
-// export mode (value files, spill-run streams) and shard count — the same
-// plumbing FindINDs uses, reusing the real attribute value sets.
-func mergeUnarySeed(db *relstore.Database, eligible []*Attribute, cands []Candidate, opts NaryOptions, workDir string, counter *valfile.ReadCounter) (*Result, error) {
+// mergeUnarySeed extracts the eligible columns with the requested export
+// mode (value files, spill-run streams) — the same plumbing FindINDs
+// uses, which also fills their statistics — then builds the seed
+// candidates and verifies them with the requested shard count.
+func mergeUnarySeed(db *relstore.Database, eligible []*Attribute, opts NaryOptions, workDir string, res *NaryResult, counter *valfile.ReadCounter) (*Result, error) {
 	// Exports go to the write side: Scratch when the caller split the
 	// dataset into a writable scratch and a read-only serving view
 	// (the snapshot shape), Store otherwise.
@@ -483,7 +515,7 @@ func mergeUnarySeed(db *relstore.Database, eligible []*Attribute, cands []Candid
 		} else if err := ExportAttributes(db, eligible, exportCfg); err != nil {
 			return nil, err
 		}
-		return ShardedSpiderMerge(cands, smOpts)
+		return ShardedSpiderMerge(seedCandidates(eligible, res), smOpts)
 	}
 	smOpts := SpiderMergeOptions{Counter: counter, Store: opts.Store}
 	if opts.Streaming {
@@ -496,7 +528,7 @@ func mergeUnarySeed(db *relstore.Database, eligible []*Attribute, cands []Candid
 	} else if err := ExportAttributes(db, eligible, exportCfg); err != nil {
 		return nil, err
 	}
-	return SpiderMerge(cands, smOpts)
+	return SpiderMerge(seedCandidates(eligible, res), smOpts)
 }
 
 func pairDeps(pairs []pairKey) []relstore.ColumnRef {

@@ -56,14 +56,62 @@ type Table struct {
 // ColumnStats summarises one column for candidate generation (Sec 2: the
 // pretest on distinct cardinalities; Sec 4.1: the max-value pretest).
 type ColumnStats struct {
-	Rows          int
-	NonNull       int
-	Distinct      int
-	Unique        bool // every non-null value occurs exactly once
-	MinCanonical  string
-	MaxCanonical  string
-	HasNonNull    bool
-	ObservedKinds map[value.Kind]int
+	Rows         int
+	NonNull      int
+	Distinct     int
+	Unique       bool // every non-null value occurs exactly once
+	MinCanonical string
+	MaxCanonical string
+	HasNonNull   bool
+}
+
+// StatsAccumulator folds one column's values, in any order, into its
+// ColumnStats. It is the one definition of the statistics: the table's
+// own stats pass uses it, and so do extraction passes that canonicalise
+// every value anyway and can derive the statistics from the same scan.
+// The zero value is ready to use.
+type StatsAccumulator struct {
+	s        ColumnStats
+	distinct map[string]struct{}
+}
+
+// AddNull records one NULL.
+func (a *StatsAccumulator) AddNull() { a.s.Rows++ }
+
+// Add records one non-null value by its canonical encoding.
+func (a *StatsAccumulator) Add(canonical string) {
+	a.s.Rows++
+	a.s.NonNull++
+	if a.distinct == nil {
+		a.distinct = make(map[string]struct{})
+	}
+	a.distinct[canonical] = struct{}{}
+	if !a.s.HasNonNull {
+		a.s.MinCanonical, a.s.MaxCanonical, a.s.HasNonNull = canonical, canonical, true
+		return
+	}
+	if canonical < a.s.MinCanonical {
+		a.s.MinCanonical = canonical
+	}
+	if canonical > a.s.MaxCanonical {
+		a.s.MaxCanonical = canonical
+	}
+}
+
+// Stats returns the statistics of the values recorded so far.
+func (a *StatsAccumulator) Stats() ColumnStats {
+	s := a.s
+	s.Distinct = len(a.distinct)
+	s.Unique = s.HasNonNull && s.Distinct == s.NonNull
+	return s
+}
+
+// EachDistinct calls fn once per distinct canonical value recorded so
+// far, in no particular order.
+func (a *StatsAccumulator) EachDistinct(fn func(canonical string)) {
+	for c := range a.distinct {
+		fn(c)
+	}
 }
 
 // Database is a catalog of tables plus declared foreign keys.
@@ -248,6 +296,22 @@ func (t *Table) ScanColumn(name string, fn func(value.Value)) (int, error) {
 	return len(t.rows), nil
 }
 
+// HasNonNull reports whether the named column holds at least one
+// non-null value. It stops at the first one, so on populated columns it
+// costs a few rows rather than a statistics pass.
+func (t *Table) HasNonNull(name string) (bool, error) {
+	i, ok := t.colIndex[name]
+	if !ok {
+		return false, fmt.Errorf("relstore: table %q: unknown column %q", t.Name, name)
+	}
+	for _, r := range t.rows {
+		if !r[i].IsNull() {
+			return true, nil
+		}
+	}
+	return false, nil
+}
+
 // computeStats refreshes per-column statistics if rows changed.
 func (t *Table) computeStats() {
 	if !t.statsDirty && t.stats != nil {
@@ -255,32 +319,15 @@ func (t *Table) computeStats() {
 	}
 	stats := make([]ColumnStats, len(t.Columns))
 	for ci := range t.Columns {
-		s := ColumnStats{Rows: len(t.rows), ObservedKinds: make(map[value.Kind]int)}
-		counts := make(map[string]int)
+		var acc StatsAccumulator
 		for _, r := range t.rows {
-			v := r[ci]
-			if v.IsNull() {
-				s.ObservedKinds[value.Null]++
-				continue
-			}
-			s.NonNull++
-			s.ObservedKinds[v.Kind()]++
-			c := v.Canonical()
-			counts[c]++
-			if !s.HasNonNull {
-				s.MinCanonical, s.MaxCanonical, s.HasNonNull = c, c, true
-				continue
-			}
-			if c < s.MinCanonical {
-				s.MinCanonical = c
-			}
-			if c > s.MaxCanonical {
-				s.MaxCanonical = c
+			if v := r[ci]; v.IsNull() {
+				acc.AddNull()
+			} else {
+				acc.Add(v.Canonical())
 			}
 		}
-		s.Distinct = len(counts)
-		s.Unique = s.HasNonNull && s.Distinct == s.NonNull
-		stats[ci] = s
+		stats[ci] = acc.Stats()
 	}
 	t.stats = stats
 	t.statsDirty = false

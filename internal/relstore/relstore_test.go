@@ -132,6 +132,65 @@ func TestEmptyColumnStats(t *testing.T) {
 	}
 }
 
+// TestStatsAccumulatorMatchesColumnStats feeds each column's values to
+// a StatsAccumulator in reverse row order: the statistics are a function
+// of the value bag, not of the order it is scanned in.
+func TestStatsAccumulatorMatchesColumnStats(t *testing.T) {
+	db, tab := newTestDB(t)
+	tab.MustInsert(value.NewInt(2), value.NewString("P1"), value.NewNull())
+	for _, c := range tab.Columns {
+		var acc StatsAccumulator
+		for i := tab.RowCount() - 1; i >= 0; i-- {
+			if v := tab.Row(i)[tab.ColumnIndex(c.Name)]; v.IsNull() {
+				acc.AddNull()
+			} else {
+				acc.Add(v.Canonical())
+			}
+		}
+		want, err := db.ColumnStats(ColumnRef{"proteins", c.Name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := acc.Stats(); got != want {
+			t.Errorf("%s: accumulator %+v, ColumnStats %+v", c.Name, got, want)
+		}
+		distinct, err := tab.DistinctCanonical(c.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[string]bool{}
+		acc.EachDistinct(func(v string) { seen[v] = true })
+		if len(seen) != len(distinct) {
+			t.Errorf("%s: EachDistinct saw %d values, want %d", c.Name, len(seen), len(distinct))
+		}
+		for _, v := range distinct {
+			if !seen[v] {
+				t.Errorf("%s: EachDistinct missed %q", c.Name, v)
+			}
+		}
+	}
+	var empty StatsAccumulator
+	if got := empty.Stats(); got != (ColumnStats{}) {
+		t.Errorf("zero accumulator stats = %+v", got)
+	}
+}
+
+func TestHasNonNull(t *testing.T) {
+	db := NewDatabase("n")
+	tab := db.MustCreateTable("t", []Column{{Name: "a", Kind: value.String}, {Name: "b", Kind: value.Int}})
+	tab.MustInsert(value.NewNull(), value.NewNull())
+	tab.MustInsert(value.NewNull(), value.NewInt(7))
+	for col, want := range map[string]bool{"a": false, "b": true} {
+		got, err := tab.HasNonNull(col)
+		if err != nil || got != want {
+			t.Errorf("HasNonNull(%s) = %v, %v; want %v", col, got, err, want)
+		}
+	}
+	if _, err := tab.HasNonNull("nope"); err == nil {
+		t.Error("unknown column must fail")
+	}
+}
+
 func TestResolveErrors(t *testing.T) {
 	db, _ := newTestDB(t)
 	if _, _, err := db.Resolve(ColumnRef{"nope", "x"}); err == nil {

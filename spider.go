@@ -512,15 +512,22 @@ func FindINDs(db *Database, opts Options) (*Result, error) {
 		writeDS, readDS = opts.Store.datasets(workDir)
 	}
 
-	attrs, err := ind.CollectAttributes(db.rel)
+	// Extracting paths derive the column statistics from the extraction
+	// scan itself; engines that never extract collect them up front.
+	listAttrs := ind.CollectAttributes
+	if exportFiles || opts.Streaming {
+		listAttrs = ind.CatalogAttributes
+	}
+	attrs, err := listAttrs(db.rel)
 	if err != nil {
 		return nil, err
 	}
 
 	// Extraction. Value cursors come from exported files, or — with
 	// Streaming — straight from external-sort spill runs built here,
-	// before candidate generation, so that sketches (derived in the same
-	// extraction pass) exist by the time the pre-filter runs.
+	// before candidate generation, so that statistics and sketches
+	// (derived in the same extraction pass) exist by the time the
+	// pretests and the pre-filter run.
 	var counter valfile.ReadCounter
 	exportCfg := ind.ExportConfig{
 		Dataset: writeDS,
