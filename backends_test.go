@@ -167,9 +167,9 @@ func TestEmbeddedINDsIdenticalAcrossBackends(t *testing.T) {
 	}
 }
 
-// TestSnapshotBackendConcurrentReaders runs the parallel engine over a
+// TestSnapshotBackendConcurrentReaders runs the sharded merge over a
 // snapshot store with a wide worker pool: the read-only snapshot must
-// serve all workers concurrently and produce the exact IND set. Run
+// serve all shards concurrently and produce the exact IND set. Run
 // under -race this is the indserved serving-path precondition.
 func TestSnapshotBackendConcurrentReaders(t *testing.T) {
 	if testing.Short() {
@@ -181,7 +181,7 @@ func TestSnapshotBackendConcurrentReaders(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, err := FindINDs(db, Options{
-		Algorithm: BruteForceParallel, Workers: 8, Store: NewSnapshotStore(),
+		Algorithm: SpiderMerge, Shards: 8, MergeWorkers: 8, Store: NewSnapshotStore(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,7 @@
 //	BenchmarkExportWorkers, BenchmarkStreamingSpiderMerge — parallel
 //	                       attribute export and the streaming cursor path
 //	BenchmarkShardedSpiderMerge, BenchmarkShardedStreaming — the sharded
-//	                       engine: S value-range shards, one heap merge
+//	                       merge: S value-range shards, one heap merge
 //	                       each, on a worker pool
 //
 // Times are not comparable to the paper's absolute numbers (its datasets
@@ -268,13 +268,13 @@ func BenchmarkModern_UniProt25(b *testing.B) {
 			}
 		}
 	})
-	// The sharded engine over the same candidates, with identical INDs.
+	// The same merge over four value ranges, with identical INDs.
 	// At this scale it does not beat the unsharded merge: on a 2-core VM
 	// (go1.24, -benchtime 5x -count 5) both took a median 9.4 ms.
 	b.Run("sharded-4", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var counter valfile.ReadCounter
-			res, err := ind.ShardedSpiderMerge(ds.Candidates, ind.ShardedMergeOptions{Counter: &counter, Shards: 4})
+			res, err := ind.SpiderMerge(ds.Candidates, ind.SpiderMergeOptions{Counter: &counter, Shards: 4})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -300,7 +300,7 @@ func BenchmarkShardedSpiderMerge(b *testing.B) {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var counter valfile.ReadCounter
-				res, err := ind.ShardedSpiderMerge(ds.Candidates, ind.ShardedMergeOptions{
+				res, err := ind.SpiderMerge(ds.Candidates, ind.SpiderMergeOptions{
 					Counter: &counter, Shards: shards,
 				})
 				if err != nil {
@@ -323,13 +323,13 @@ func BenchmarkShardedStreaming(b *testing.B) {
 	ds := benchDataset(b, "uniprot")
 	for i := 0; i < b.N; i++ {
 		var counter valfile.ReadCounter
-		src, err := ind.StreamAttributesShared(ds.DB, ds.Attrs, ind.ExportConfig{
+		src, err := ind.StreamAttributes(ds.DB, ds.Attrs, ind.ExportConfig{
 			Sort: extsort.Config{TempDir: b.TempDir()},
 		}, &counter)
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := ind.ShardedSpiderMerge(ds.Candidates, ind.ShardedMergeOptions{
+		res, err := ind.SpiderMerge(ds.Candidates, ind.SpiderMergeOptions{
 			Counter: &counter, Source: src, Shards: 4,
 		})
 		src.Close()
@@ -663,7 +663,7 @@ func BenchmarkPartialSpiderMerge(b *testing.B) {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var counter valfile.ReadCounter
-				res, err := ind.ShardedPartialSpiderMerge(cands, ind.ShardedPartialMergeOptions{
+				res, err := ind.PartialSpiderMerge(cands, ind.PartialMergeOptions{
 					Threshold: 0.9, Counter: &counter, Shards: shards,
 				})
 				if err != nil {
@@ -794,25 +794,6 @@ func BenchmarkNaryMerge(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelBruteForce sweeps the worker pool on the PDB-shaped
-// dataset — the modern extension beyond the paper's single-threaded runs.
-func BenchmarkParallelBruteForce(b *testing.B) {
-	ds := benchDataset(b, "pdb")
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := ind.BruteForceParallel(ds.Candidates, ind.ParallelOptions{Workers: workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == b.N-1 {
-					b.ReportMetric(float64(res.Stats.Satisfied), "INDs")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblation_ResemblancePretest measures the Dasu et al. sketch
 // filter (Sec 6): candidates pruned by min-hash containment estimates.
 func BenchmarkAblation_ResemblancePretest(b *testing.B) {
@@ -911,10 +892,11 @@ func BenchmarkNaryOverlap(b *testing.B) {
 	}
 }
 
-// BenchmarkKMVShardPlan compares shard boundary planners on the
-// Zipf-skewed key population of datagen.Skewed: min/max planning splits
-// the key span evenly and piles nearly all items into one shard, KMV
-// sample planning splits the estimated value mass. The skew-max/mean
+// BenchmarkKMVShardPlan compares the two shard boundary planners on the
+// Zipf-skewed key population of datagen.Skewed. Without sketches the
+// merge plans from min/max, splitting the key span evenly and piling
+// nearly all items into one shard; with sketches it plans from the KMV
+// samples, splitting the estimated value mass. The skew-max/mean
 // metric (1.0 = perfectly even) lands in BENCH_ci.json via the custom
 // metric capture, so the CI bench artifact tracks shard balance.
 func BenchmarkKMVShardPlan(b *testing.B) {
@@ -930,23 +912,30 @@ func BenchmarkKMVShardPlan(b *testing.B) {
 			keys = append(keys, a)
 		}
 	}
-	var cands []ind.Candidate
-	for _, d := range keys {
-		for _, r := range keys {
-			if d != r {
-				cands = append(cands, ind.Candidate{Dep: d, Ref: r})
+	pairs := func(attrs []*ind.Attribute) []ind.Candidate {
+		var cands []ind.Candidate
+		for _, d := range attrs {
+			for _, r := range attrs {
+				if d != r {
+					cands = append(cands, ind.Candidate{Dep: d, Ref: r})
+				}
 			}
 		}
+		return cands
+	}
+	var plain []*ind.Attribute // the keys stripped of their sketches
+	for _, a := range keys {
+		cp := *a
+		cp.Sketch = nil
+		plain = append(plain, &cp)
 	}
 	for _, p := range []struct {
-		name    string
-		planner ind.ShardPlanner
-	}{{"minmax", ind.PlannerMinMax}, {"kmv", ind.PlannerKMV}} {
-		b.Run("planner="+p.name, func(b *testing.B) {
+		name  string
+		cands []ind.Candidate
+	}{{"without-sketches", pairs(plain)}, {"with-sketches", pairs(keys)}} {
+		b.Run(p.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := ind.ShardedSpiderMerge(cands, ind.ShardedMergeOptions{
-					Shards: 4, Planner: p.planner,
-				})
+				res, err := ind.SpiderMerge(p.cands, ind.SpiderMergeOptions{Shards: 4})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -1129,38 +1118,6 @@ func BenchmarkStoreBackends(b *testing.B) {
 				if i == b.N-1 {
 					b.ReportMetric(float64(len(res.INDs)), "INDs")
 					b.ReportMetric(float64(res.Stats.BytesRead), "bytes/op")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkSnapshotReaders scales concurrent brute-force workers over
-// one snapshot backend: the pooled-cursor read path the planned
-// indserved daemon sits on. Results must not move with the worker
-// count.
-func BenchmarkSnapshotReaders(b *testing.B) {
-	db := GenerateUniProt(DatasetConfig{Seed: 42, Scale: 0.15})
-	base, err := FindINDs(db, Options{Algorithm: InMemory})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 4, 8, 16} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := FindINDs(db, Options{
-					Algorithm: BruteForceParallel,
-					Workers:   workers,
-					Store:     NewSnapshotStore(),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.INDs) != len(base.INDs) {
-					b.Fatalf("workers=%d changed results: %d vs %d INDs", workers, len(res.INDs), len(base.INDs))
-				}
-				if i == b.N-1 {
-					b.ReportMetric(float64(len(res.INDs)), "INDs")
 				}
 			}
 		})

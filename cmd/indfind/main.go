@@ -22,7 +22,7 @@ func main() {
 	csvDir := flag.String("csv", "", "directory of .csv files to profile")
 	data := flag.String("data", "", "built-in dataset: uniprot|scop|pdb")
 	algo := flag.String("algo", "brute-force",
-		"algorithm: brute-force|brute-force-parallel|single-pass|single-pass-blocked|"+
+		"algorithm: brute-force|single-pass|single-pass-blocked|"+
 			"spider-merge|sql-join|sql-minus|sql-not-in|in-memory|demarchi|bell-brockhausen")
 	scale := flag.Float64("scale", 0.25, "built-in dataset scale")
 	seed := flag.Int64("seed", 42, "built-in dataset seed")
@@ -30,12 +30,10 @@ func main() {
 	transitivity := flag.Bool("transitivity", false, "enable transitivity inference (brute force)")
 	depBlock := flag.Int("depblock", 64, "dependent block size (single-pass-blocked)")
 	refBlock := flag.Int("refblock", 0, "referenced block size (single-pass-blocked; 0 = all)")
-	workers := flag.Int("workers", 0, "worker pool size (brute-force-parallel; 0 = GOMAXPROCS)")
 	exportWorkers := flag.Int("exportworkers", 0, "attribute export workers (0 = GOMAXPROCS, 1 = sequential)")
 	streaming := flag.Bool("streaming", false, "stream values from sort spill runs, skipping value files (spider-merge)")
 	shards := flag.Int("shards", 0, "value-range shards merged concurrently (spider-merge; 0/1 = single merge)")
 	mergeWorkers := flag.Int("mergeworkers", 0, "shard worker pool size (0 = min(shards, GOMAXPROCS))")
-	shardPlan := flag.String("shardplan", "auto", "shard boundary planner: auto|minmax|kmv (sharded spider-merge)")
 	partial := flag.Float64("partial", 0, "discover partial INDs at this threshold σ in (0, 1] instead of exact INDs")
 	nary := flag.Int("nary", 0, "also discover n-ary INDs up to this arity (0 = off)")
 	narySequential := flag.Bool("nary-sequential", false, "disable overlapped n-ary levels (spider-merge; run one level at a time)")
@@ -58,12 +56,6 @@ func main() {
 	}
 
 	algorithm, err := parseAlgorithm(*algo)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "indfind: %v\n", err)
-		os.Exit(1)
-	}
-
-	planner, err := parsePlanner(*shardPlan)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "indfind: %v\n", err)
 		os.Exit(1)
@@ -94,7 +86,6 @@ func main() {
 			Streaming:               *streaming,
 			Shards:                  *shards,
 			MergeWorkers:            *mergeWorkers,
-			Planner:                 planner,
 			ExportWorkers:           *exportWorkers,
 			SketchPrefilter:         *sketchOn,
 			SketchMinContainment:    *sketchContainment,
@@ -125,12 +116,10 @@ func main() {
 		Transitivity:            *transitivity,
 		DepBlock:                *depBlock,
 		RefBlock:                *refBlock,
-		Workers:                 *workers,
 		ExportWorkers:           *exportWorkers,
 		Streaming:               *streaming,
 		Shards:                  *shards,
 		MergeWorkers:            *mergeWorkers,
-		Planner:                 planner,
 		SketchPrefilter:         *sketchOn,
 		SketchMinContainment:    *sketchContainment,
 		SketchK:                 *sketchK,
@@ -220,7 +209,6 @@ func main() {
 		if embAlgo == spider.SpiderMerge {
 			embOpts.Shards = *shards
 			embOpts.MergeWorkers = *mergeWorkers
-			embOpts.Planner = planner
 		}
 		embINDs, embStats, err := spider.FindEmbeddedINDsWith(db, embOpts)
 		if err != nil {
@@ -273,17 +261,6 @@ func printStats(st spider.Stats, approach string) {
 	}
 }
 
-func parsePlanner(s string) (spider.ShardPlanner, error) {
-	for _, p := range []spider.ShardPlanner{
-		spider.PlannerAuto, spider.PlannerMinMax, spider.PlannerKMV,
-	} {
-		if p.String() == s {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown shard planner %q (auto|minmax|kmv)", s)
-}
-
 func openDatabase(csvDir, data string, scale float64, seed int64) (*spider.Database, error) {
 	switch {
 	case csvDir != "" && data != "":
@@ -305,8 +282,7 @@ func openDatabase(csvDir, data string, scale float64, seed int64) (*spider.Datab
 
 func parseAlgorithm(s string) (spider.Algorithm, error) {
 	for _, a := range []spider.Algorithm{
-		spider.BruteForce, spider.BruteForceParallel,
-		spider.SinglePass, spider.SinglePassBlocked, spider.SpiderMerge,
+		spider.BruteForce, spider.SinglePass, spider.SinglePassBlocked, spider.SpiderMerge,
 		spider.SQLJoin, spider.SQLMinus, spider.SQLNotIn,
 		spider.InMemory, spider.DeMarchiBaseline, spider.BellBrockhausenBaseline,
 	} {

@@ -51,15 +51,12 @@ type PartialOptions struct {
 	// Shards (SpiderMerge only) partitions the canonical value space into
 	// that many disjoint ranges merged concurrently; 0 or 1 keeps the
 	// single-threaded merge. The output is identical at any shard count.
+	// Boundaries are planned as in Options.Shards: from the KMV samples
+	// when SketchPrefilter builds them, else from min/max.
 	Shards int
 	// MergeWorkers bounds the shard worker pool; 0 selects
 	// min(Shards, GOMAXPROCS).
 	MergeWorkers int
-	// Planner selects the shard boundary planning strategy (sharded runs
-	// only); see Options.Planner. KMV planning needs SketchPrefilter (the
-	// samples ride the sketches) and otherwise falls back to min/max with
-	// a note in Stats.ShardPlanFallback.
-	Planner ShardPlanner
 	// ExportWorkers bounds the attribute-export worker pool; 0 selects
 	// GOMAXPROCS, 1 exports sequentially.
 	ExportWorkers int
@@ -147,20 +144,12 @@ func FindPartialINDs(db *Database, opts PartialOptions) ([]PartialIND, Stats, er
 			K: opts.SketchK, BloomBitsPerValue: opts.SketchBloomBitsPerValue,
 		},
 	}
-	var streamSrc *ind.SorterSource
-	var sharedSrc *ind.RunsSource
-	switch {
-	case exportFiles:
+	var streamSrc *ind.RunsSource
+	if exportFiles {
 		if err := ind.ExportAttributes(db.rel, attrs, exportCfg); err != nil {
 			return nil, Stats{}, err
 		}
-	case opts.Shards > 1:
-		sharedSrc, err = ind.StreamAttributesShared(db.rel, attrs, exportCfg, &counter)
-		if err != nil {
-			return nil, Stats{}, err
-		}
-		defer sharedSrc.Close()
-	default:
+	} else {
 		streamSrc, err = ind.StreamAttributes(db.rel, attrs, exportCfg, &counter)
 		if err != nil {
 			return nil, Stats{}, err
@@ -181,21 +170,13 @@ func FindPartialINDs(db *Database, opts PartialOptions) ([]PartialIND, Stats, er
 	}
 
 	var res *ind.PartialResult
-	switch {
-	case opts.Algorithm == BruteForce:
+	if opts.Algorithm == BruteForce {
 		res, err = ind.BruteForcePartial(cands, ind.PartialOptions{Threshold: opts.Threshold, Counter: &counter, Store: readDS})
-	case opts.Shards > 1:
-		smOpts := ind.ShardedPartialMergeOptions{
+	} else {
+		smOpts := ind.PartialMergeOptions{
 			Threshold: opts.Threshold, Counter: &counter, Store: readDS,
 			Shards: opts.Shards, Workers: opts.MergeWorkers,
-			Planner: opts.Planner.internal(),
 		}
-		if sharedSrc != nil {
-			smOpts.Source = sharedSrc
-		}
-		res, err = ind.ShardedPartialSpiderMerge(cands, smOpts)
-	default:
-		smOpts := ind.PartialMergeOptions{Threshold: opts.Threshold, Counter: &counter, Store: readDS}
 		if streamSrc != nil {
 			smOpts.Source = streamSrc
 		}
@@ -283,6 +264,8 @@ type NaryOptions struct {
 	// Shards (SpiderMerge only) partitions each level's value space into
 	// that many disjoint ranges merged concurrently; 0 or 1 keeps the
 	// single-threaded merge. The output is identical at any shard count.
+	// Boundaries are planned as in Options.Shards: from the KMV samples
+	// when SketchPrefilter builds them, else from min/max.
 	Shards int
 	// MergeWorkers bounds the shard worker pool; 0 selects
 	// min(Shards, GOMAXPROCS). With overlapped levels (the SpiderMerge
@@ -446,8 +429,6 @@ type EmbeddedOptions struct {
 	// MergeWorkers bounds the shard worker pool; 0 selects
 	// min(Shards, GOMAXPROCS).
 	MergeWorkers int
-	// Planner selects the shard boundary planner; see Options.Planner.
-	Planner ShardPlanner
 	// Format selects the on-disk encoding of the exported and derived
 	// value files; see Options.Format.
 	Format Format
@@ -508,7 +489,6 @@ func FindEmbeddedINDsWith(db *Database, opts EmbeddedOptions) ([]EmbeddedIND, St
 		Store:        readDS,
 		Shards:       opts.Shards,
 		MergeWorkers: opts.MergeWorkers,
-		Planner:      opts.Planner.internal(),
 		Format:       opts.Format.internal(),
 	}
 	if opts.Store.inMemory() {

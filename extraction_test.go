@@ -136,7 +136,7 @@ func TestExtractionMatchesStatsPass(t *testing.T) {
 	}
 	golden := loadGolden(t, "testdata/extraction_golden.txt")
 	defer golden.finish(t)
-	paths := []string{"export-fs", "export-mem", "export-snapshot", "stream", "stream-shared"}
+	paths := []string{"export-fs", "export-mem", "export-snapshot", "stream"}
 	for dbName, mk := range extractionDatabases() {
 		// The reference: statistics from the relational store's own pass
 		// and sketches from a direct column scan sized by them.
@@ -191,15 +191,6 @@ func extractAndDigest(t *testing.T, name string, db *relstore.Database, path str
 		cfg.Dataset, readDS = mem, store.NewSnapshot(mem)
 	case "stream":
 		src, err := ind.StreamAttributes(db, attrs, cfg, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		defer src.Close()
-		for _, a := range attrs {
-			values[a.ID] = drain(t, name, func() (ind.Cursor, error) { return src.Open(a) })
-		}
-	case "stream-shared":
-		src, err := ind.StreamAttributesShared(db, attrs, cfg, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

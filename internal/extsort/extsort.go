@@ -152,29 +152,10 @@ func (s *Sorter) cleanup() {
 // WriteTo merges buffered values and spill runs into a sorted distinct
 // value file at path, removing the temporary runs. It returns the number
 // of distinct values and the maximum value ("" when empty), which the
-// max-value pretest of Sec 4.1 consumes. The Sorter cannot be reused.
+// max-value pretest of Sec 4.1 consumes. Block outputs carry a
+// RunMetaSection recording the sorter's provenance. On failure no file
+// is left at path. The Sorter cannot be reused.
 func (s *Sorter) WriteTo(path string) (n int, max string, err error) {
-	return s.WriteToObserved(path, nil)
-}
-
-// WriteToObserved is WriteTo with a tap: observe (may be nil) is called
-// once per distinct value, in sorted order, as it is written. This lets
-// callers derive per-attribute summaries — the sketch pre-filter's KMV
-// and bloom structures — in the same single pass that materializes the
-// value file, touching each distinct value once instead of rescanning
-// the file or the base table.
-func (s *Sorter) WriteToObserved(path string, observe func(string)) (n int, max string, err error) {
-	return s.WriteToFile(path, observe, nil)
-}
-
-// WriteToFile is the general form of WriteTo: observe (may be nil) taps
-// every distinct value in sorted order, and finish (may be nil) runs
-// after the last value but before the writer closes — the window in
-// which block-format callers embed sections derived from the full value
-// stream, such as the attribute sketch (Writer.SetSection). Block
-// outputs always carry a RunMetaSection recording the sorter's
-// provenance.
-func (s *Sorter) WriteToFile(path string, observe func(string), finish func(*valfile.Writer) error) (n int, max string, err error) {
 	if s.closed {
 		return 0, "", fmt.Errorf("extsort: WriteTo after finish")
 	}
@@ -188,7 +169,7 @@ func (s *Sorter) WriteToFile(path string, observe func(string), finish func(*val
 		os.Remove(path)
 		return 0, "", err
 	}
-	_, max, meta, err := s.DrainTo(w, observe)
+	_, max, meta, err := s.DrainTo(w, nil)
 	if err != nil {
 		return fail(err)
 	}
@@ -197,13 +178,9 @@ func (s *Sorter) WriteToFile(path string, observe func(string), finish func(*val
 			return fail(err)
 		}
 	}
-	if finish != nil {
-		if err := finish(w); err != nil {
-			return fail(err)
-		}
-	}
 	n = w.Len()
 	if err := w.Close(); err != nil {
+		os.Remove(path)
 		return 0, "", err
 	}
 	return n, max, nil
@@ -356,45 +333,18 @@ func (s *Sorter) Discard() {
 	s.cleanup()
 }
 
-// MergeCursor streams the sorter's final sorted distinct value set
-// directly from its spill runs and in-memory tail, without materializing
-// the merged file. It satisfies the same Next/Err/Close contract as a
-// valfile.Reader, so the IND engines can consume spill runs in place.
-// A cursor opened from a Runs handle may additionally be bounded to a
-// value range.
+// MergeCursor streams a frozen sorter's sorted distinct value set
+// (Runs.OpenRange) directly from its spill runs and in-memory tail,
+// bounded to a value range, without materializing the merged file. It
+// satisfies the same Next/Err/Close contract as a valfile.Reader, so the
+// IND engines can consume spill runs in place.
 type MergeCursor struct {
-	s       *Sorter // single-shot owner; nil for Runs-backed cursors
 	m       *merger
 	counter *valfile.ReadCounter
 	bounds  valfile.Range
 	err     error
 	done    bool
 	closed  bool
-}
-
-// Cursor finishes the sorter and returns a streaming cursor over its
-// sorted distinct values. Intermediate merge passes still run when the
-// number of runs exceeds FanIn, keeping open files bounded. The Sorter
-// cannot be reused; Close removes the spill runs. counter (may be nil)
-// is incremented once per delivered distinct value.
-func (s *Sorter) Cursor(counter *valfile.ReadCounter) (*MergeCursor, error) {
-	if s.closed {
-		return nil, fmt.Errorf("extsort: Cursor after finish")
-	}
-	s.closed = true
-	sortDedup(&s.buf)
-	for len(s.runs) > s.cfg.FanIn {
-		if err := s.mergePass(); err != nil {
-			s.cleanup()
-			return nil, err
-		}
-	}
-	m, err := newMerger(s.runs, s.buf, "")
-	if err != nil {
-		s.cleanup()
-		return nil, err
-	}
-	return &MergeCursor{s: s, m: m, counter: counter}, nil
 }
 
 // Next returns the next distinct value in sorted order, restricted to the
@@ -430,8 +380,7 @@ func (c *MergeCursor) Next() (string, bool) {
 func (c *MergeCursor) Err() error { return c.err }
 
 // Close releases the run readers, flushing the bytes they read into the
-// cursor's counter; cursors owning their sorter also remove its spill
-// runs (Runs-backed cursors leave them for the Runs handle).
+// cursor's counter. The spill runs stay for the Runs handle.
 func (c *MergeCursor) Close() error {
 	if c.closed {
 		return nil
@@ -439,18 +388,15 @@ func (c *MergeCursor) Close() error {
 	c.closed = true
 	c.counter.AddBytes(c.m.bytesRead())
 	c.m.close()
-	if c.s != nil {
-		c.s.cleanup()
-	}
 	return nil
 }
 
 // Runs is a finished sorter's frozen output: its spill runs plus the
-// sorted in-memory tail. Unlike Cursor's single-shot stream, a Runs
-// handle can be opened any number of times — concurrently, each cursor
-// optionally bounded to a value range — which is exactly the per-shard
-// replay the sharded merge engine needs. Close removes the spill runs;
-// it must not be called before every opened cursor is closed.
+// sorted in-memory tail. A Runs handle can be opened any number of
+// times — concurrently, each cursor optionally bounded to a value range
+// — which is exactly the per-shard replay a sharded merge needs. Close
+// removes the spill runs; it must not be called before every opened
+// cursor is closed.
 type Runs struct {
 	runs   []string
 	mem    []string

@@ -179,9 +179,9 @@ func TestSortToFileProperty(t *testing.T) {
 	}
 }
 
-// TestCursorStreamsSortedDistinct checks the streaming merge cursor
-// against the materializing WriteTo path: same values, same order, and
-// the spill runs are removed once the cursor is closed.
+// TestCursorStreamsSortedDistinct checks the streaming merge cursor over
+// frozen runs against the materializing WriteTo path: same values, same
+// order, and the spill runs are removed once the runs are closed.
 func TestCursorStreamsSortedDistinct(t *testing.T) {
 	dir := t.TempDir()
 	vals := make([]string, 0, 600)
@@ -207,8 +207,12 @@ func TestCursorStreamsSortedDistinct(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	runs, err := streamSorter.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var counter valfile.ReadCounter
-	cur, err := streamSorter.Cursor(&counter)
+	cur, err := runs.OpenRange(valfile.Range{}, &counter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,6 +236,9 @@ func TestCursorStreamsSortedDistinct(t *testing.T) {
 	if counter.Total() != int64(len(want)) {
 		t.Errorf("counted %d items, want %d", counter.Total(), len(want))
 	}
+	if err := runs.Close(); err != nil {
+		t.Fatal(err)
+	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -241,9 +248,9 @@ func TestCursorStreamsSortedDistinct(t *testing.T) {
 			t.Errorf("spill run %s not removed after Close", e.Name())
 		}
 	}
-	// A finished sorter cannot produce another cursor.
-	if _, err := streamSorter.Cursor(nil); err == nil {
-		t.Error("Cursor after finish must fail")
+	// A finished sorter cannot be frozen again.
+	if _, err := streamSorter.Freeze(); err == nil {
+		t.Error("Freeze after finish must fail")
 	}
 }
 
@@ -388,9 +395,9 @@ func TestFreezeAfterFinish(t *testing.T) {
 	}
 }
 
-// TestWriteToObserved pins the observer tap: it sees every distinct
-// value exactly once, in sorted order, on both the in-memory and the
-// spilling path, and the written file is unchanged.
+// TestWriteToObserved pins DrainTo's observer tap: it sees every
+// distinct value exactly once, in sorted order, on both the in-memory
+// and the spilling path, and the drained stream is unchanged.
 func TestWriteToObserved(t *testing.T) {
 	for _, maxInMem := range []int{4, 1 << 16} { // spilling and in-memory
 		dir := t.TempDir()
@@ -402,8 +409,8 @@ func TestWriteToObserved(t *testing.T) {
 			}
 		}
 		var seen []string
-		path := filepath.Join(dir, "out.val")
-		n, max, err := s.WriteToObserved(path, func(v string) { seen = append(seen, v) })
+		var sink collectSink
+		n, max, _, err := s.DrainTo(&sink, func(v string) { seen = append(seen, v) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -414,14 +421,18 @@ func TestWriteToObserved(t *testing.T) {
 		if n != len(want) || max != "f" {
 			t.Errorf("maxInMem=%d: n=%d max=%q", maxInMem, n, max)
 		}
-		got, err := valfile.ReadAll(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("maxInMem=%d: file %v, want %v", maxInMem, got, want)
+		if !reflect.DeepEqual([]string(sink), want) {
+			t.Errorf("maxInMem=%d: drained %v, want %v", maxInMem, sink, want)
 		}
 	}
+}
+
+// collectSink is a Sink gathering the drained values in memory.
+type collectSink []string
+
+func (c *collectSink) Append(v string) error {
+	*c = append(*c, v)
+	return nil
 }
 
 // TestCancelAbortsSorter: once Config.Cancel fires, spills and finishes

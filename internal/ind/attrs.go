@@ -86,8 +86,8 @@ func (a *Attribute) ReferencedCandidate() bool {
 
 // CatalogAttributes lists one Attribute per column of db, in catalog
 // order, with identity and kind only. Its statistics stay zero until an
-// extraction (ExportAttributes, StreamAttributes, StreamAttributesShared)
-// derives them from the same scan that sorts the values.
+// extraction (ExportAttributes, StreamAttributes) derives them from the
+// same scan that sorts the values.
 func CatalogAttributes(db *relstore.Database) ([]*Attribute, error) {
 	var out []*Attribute
 	for _, ref := range db.Columns() {
@@ -372,43 +372,16 @@ func extract(db *relstore.Database, a *Attribute, cfg ExportConfig) (*extsort.So
 	return sorter, nil
 }
 
-// StreamAttributes loads every attribute's values into an external sorter
-// and returns a SorterSource streaming the sorted distinct sets directly
-// from the spill runs — the fully streaming pipeline for single-read
-// engines (SpiderMerge), which never materializes final value files.
-// Attribute.Path stays empty; cfg.Dir is unused. Extraction runs on the
-// same bounded worker pool as ExportAttributes (cfg.Workers). counter may
-// be nil.
-func StreamAttributes(db *relstore.Database, attrs []*Attribute, cfg ExportConfig, counter *valfile.ReadCounter) (*SorterSource, error) {
-	cfg.Sort.Format = cfg.Format
-	src := NewSorterSource(counter)
-	var mu sync.Mutex
-	err := forEachAttribute(attrs, cfg.Workers, func(a *Attribute) error {
-		sorter, err := extract(db, a, cfg)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		src.Add(a, sorter)
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		src.Close()
-		return nil, err
-	}
-	return src, nil
-}
-
-// StreamAttributesShared is the sharded-engine variant of
-// StreamAttributes: every attribute's sorter is frozen into shareable
-// runs (extsort.Runs) that can be opened any number of times and
-// range-restricted, so S shards can each replay the spill runs over
-// their own slice of the value space. Freezing (final sort and
+// StreamAttributes extracts every attribute into an external sorter and
+// freezes it into runs (extsort.Runs) — the fully streaming pipeline,
+// which never materializes final value files. The returned RunsSource
+// opens each attribute any number of times, optionally bounded to a
+// value range, so the merge streams straight from the spill runs
+// whether it runs once or once per shard. Freezing (final sort and
 // deduplication of the in-memory tail, intermediate merge passes) runs
-// on the extraction worker pool. Attribute.Path stays empty; cfg.Dir is
-// unused. counter may be nil.
-func StreamAttributesShared(db *relstore.Database, attrs []*Attribute, cfg ExportConfig, counter *valfile.ReadCounter) (*RunsSource, error) {
+// on the same bounded worker pool as ExportAttributes (cfg.Workers).
+// Attribute.Path stays empty; cfg.Dir is unused. counter may be nil.
+func StreamAttributes(db *relstore.Database, attrs []*Attribute, cfg ExportConfig, counter *valfile.ReadCounter) (*RunsSource, error) {
 	cfg.Sort.Format = cfg.Format
 	src := NewRunsSource(counter)
 	var mu sync.Mutex

@@ -25,8 +25,8 @@ type BlockedOptions struct {
 	Counter *valfile.ReadCounter
 	// Source provides each attribute's value cursor; nil selects Store,
 	// then the sorted value files written by ExportAttributes, counted
-	// by Counter. Cursors are reopened once per block, so single-shot
-	// sources (such as SorterSource) are unsuitable here.
+	// by Counter. Cursors are reopened once per block, so the source must
+	// serve each attribute more than once.
 	Source CursorSource
 	// Store serves the attributes' value sets when Source is nil.
 	Store store.Dataset

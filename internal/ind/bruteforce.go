@@ -19,9 +19,13 @@ type Stats struct {
 	// the file-backed engines from the same counter as ItemsRead. It is
 	// the metric that compares the text and block encodings' I/O for
 	// identical delivered items.
-	BytesRead    int64
-	Comparisons  int64
-	FilesOpened  int
+	BytesRead   int64
+	Comparisons int64
+	FilesOpened int
+	// MaxOpenFiles is the peak number of simultaneously open value
+	// files. On a sharded merge it is the largest single shard's peak,
+	// so up to min(Workers, S) times that many files can be open at
+	// once.
 	MaxOpenFiles int
 	// Events counts monitor deliveries (single pass only); it quantifies
 	// the synchronisation overhead discussed in Sec 3.3.
@@ -36,14 +40,14 @@ type Stats struct {
 	// spider package), not by the engines themselves.
 	CandidatesPruned int
 	SketchBytes      int64
-	// Sharded-engine observability. ShardPlanner names the boundary
-	// planning strategy that produced the shard ranges ("explicit",
-	// "kmv", "minmax", "single"); ShardPlanFallback records why a
-	// planning mode degraded (sketch samples absent, boundary sample
-	// collapsed to one shard) instead of hiding the collapse.
-	// ShardItemsRead and ShardDurations hold per-shard items-read counts
-	// and wall times, indexed by shard, so skew is measurable; all are
-	// empty on unsharded runs.
+	// Sharded-merge observability, empty on unsharded runs. ShardPlanner
+	// names the boundary source: "explicit", "kmv" (every involved
+	// attribute carries a KMV sample) or "minmax". ShardPlanFallback
+	// records why the plan has fewer shards than requested (a skewed KMV
+	// sample, a min/max sample collapsed to one shard) instead of hiding
+	// the collapse. ShardItemsRead and ShardDurations hold per-shard
+	// items-read counts and wall times, indexed by shard, so skew is
+	// measurable.
 	ShardPlanner      string
 	ShardPlanFallback string
 	ShardItemsRead    []int64

@@ -32,10 +32,10 @@ type CursorSource interface {
 }
 
 // RangeSource is a CursorSource that can additionally open cursors
-// restricted to a canonical value range — the access path of the sharded
-// merge engine, whose shards each stream one disjoint slice of the value
-// space. OpenRange must be safe for concurrent use and must allow the
-// same attribute to be opened once per shard.
+// restricted to a canonical value range — the merge's access path: a
+// sharded merge streams one disjoint slice of the value space per shard.
+// OpenRange must be safe for concurrent use and must allow the same
+// attribute to be opened once per shard.
 type RangeSource interface {
 	CursorSource
 	OpenRange(a *Attribute, bounds valfile.Range) (Cursor, error)
@@ -43,8 +43,8 @@ type RangeSource interface {
 
 // BoundarySampler is optionally implemented by sources that can produce
 // cheap order statistics of an attribute's value set (e.g. spill-run
-// fronts or a dataset's samples); the sharded engine folds them into its
-// boundary selection.
+// fronts or a dataset's samples); a sharded merge without KMV samples
+// folds them into its boundary selection.
 type BoundarySampler interface {
 	SampleBounds(a *Attribute, k int) ([]string, error)
 }
@@ -74,7 +74,7 @@ func (s StoreSource) OpenRange(a *Attribute, bounds valfile.Range) (Cursor, erro
 }
 
 // SampleBounds returns the dataset's order statistics for the
-// attribute, feeding the sharded engine's boundary selection.
+// attribute, feeding a sharded merge's boundary selection.
 func (s StoreSource) SampleBounds(a *Attribute, k int) ([]string, error) {
 	key := a.StoreKey()
 	if key == "" {
@@ -107,50 +107,11 @@ func (s FileSource) OpenRange(a *Attribute, bounds valfile.Range) (Cursor, error
 	return pathFS.OpenRange(a.Path, s.Counter, bounds)
 }
 
-// SorterSource streams each attribute's sorted distinct values directly
-// out of its external sorter — spill runs plus the in-memory tail —
-// without materializing final value files. Each attribute can be opened
-// exactly once, which suits the single-read SpiderMerge engine; reopening
-// fails.
-type SorterSource struct {
-	sorters map[int]*extsort.Sorter
-	counter *valfile.ReadCounter
-}
-
-// NewSorterSource returns an empty source; counter may be nil.
-func NewSorterSource(counter *valfile.ReadCounter) *SorterSource {
-	return &SorterSource{sorters: make(map[int]*extsort.Sorter), counter: counter}
-}
-
-// Add registers the sorter holding a's values. The source takes ownership.
-func (s *SorterSource) Add(a *Attribute, sorter *extsort.Sorter) {
-	s.sorters[a.ID] = sorter
-}
-
-// Open consumes the attribute's sorter into a streaming merge cursor.
-func (s *SorterSource) Open(a *Attribute) (Cursor, error) {
-	sorter, ok := s.sorters[a.ID]
-	if !ok {
-		return nil, fmt.Errorf("ind: attribute %s has no pending sorter (already opened?)", a.Ref)
-	}
-	delete(s.sorters, a.ID)
-	return sorter.Cursor(s.counter)
-}
-
-// Close discards any sorters that were never opened.
-func (s *SorterSource) Close() error {
-	for id, sorter := range s.sorters {
-		sorter.Discard()
-		delete(s.sorters, id)
-	}
-	return nil
-}
-
 // RunsSource serves attributes from frozen external-sort runs
-// (extsort.Runs). Unlike SorterSource, every attribute can be opened any
-// number of times — concurrently, each cursor optionally bounded to a
-// value range — so it backs both the plain streaming path and the
-// sharded engine's per-shard replay. Close removes all spill runs.
+// (extsort.Runs). Every attribute can be opened any number of times —
+// concurrently, each cursor optionally bounded to a value range — so it
+// backs the streaming merge whether it runs once or once per shard.
+// Close removes all spill runs.
 type RunsSource struct {
 	runs    map[int]*extsort.Runs
 	counter *valfile.ReadCounter
@@ -182,7 +143,7 @@ func (s *RunsSource) OpenRange(a *Attribute, bounds valfile.Range) (Cursor, erro
 }
 
 // SampleBounds returns spill-run fronts and in-memory-tail samples of the
-// attribute, feeding the sharded engine's boundary selection.
+// attribute, feeding a sharded merge's boundary selection.
 func (s *RunsSource) SampleBounds(a *Attribute, k int) ([]string, error) {
 	runs, ok := s.runs[a.ID]
 	if !ok {
@@ -207,14 +168,11 @@ func sourceOrStore(src CursorSource, ds store.Dataset, counter *valfile.ReadCoun
 	if src != nil {
 		return src
 	}
-	if ds != nil {
-		return StoreSource{DS: ds, Counter: counter}
-	}
-	return FileSource{Counter: counter}
+	return rangeSourceOrStore(nil, ds, counter)
 }
 
-// rangeSourceOrStore is sourceOrStore for the sharded engine, which
-// needs range-restricted opens.
+// rangeSourceOrStore is sourceOrStore for the merge, which needs
+// range-restricted opens when sharded.
 func rangeSourceOrStore(src RangeSource, ds store.Dataset, counter *valfile.ReadCounter) RangeSource {
 	if src != nil {
 		return src

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"spider/internal/extsort"
 	"spider/internal/relstore"
 	"spider/internal/store"
 	"spider/internal/valfile"
@@ -91,31 +90,6 @@ func TestMemSourceFixture(t *testing.T) {
 	}
 	if _, err := src.Open(&Attribute{ID: 8, Ref: relstore.ColumnRef{Table: "t", Column: "b"}}); err == nil {
 		t.Error("missing set must fail")
-	}
-}
-
-func TestSorterSourceSingleShot(t *testing.T) {
-	src := NewSorterSource(nil)
-	a := &Attribute{ID: 0, Ref: relstore.ColumnRef{Table: "t", Column: "a"}}
-	sorter := extsort.New(extsort.Config{MaxInMemory: 2, TempDir: t.TempDir()})
-	for _, v := range []string{"b", "a", "c", "a", "b"} {
-		if err := sorter.Add(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	src.Add(a, sorter)
-	cur, err := src.Open(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := drain(t, cur); !reflect.DeepEqual(got, []string{"a", "b", "c"}) {
-		t.Errorf("values = %v", got)
-	}
-	if _, err := src.Open(a); err == nil {
-		t.Error("reopening a consumed sorter must fail")
-	}
-	if err := src.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -129,8 +129,6 @@ type EmbeddedOptions struct {
 	// MergeWorkers bounds the shard worker pool; 0 selects
 	// min(Shards, GOMAXPROCS).
 	MergeWorkers int
-	// Planner (EmbeddedMerge only) selects the shard boundary planner.
-	Planner ShardPlanner
 	// Format selects the encoding of the derived value files.
 	Format valfile.Format
 }
@@ -229,15 +227,9 @@ func FindEmbedded(db *relstore.Database, attrs []*Attribute, opts EmbeddedOption
 		for i, c := range cands {
 			pairs[i] = Candidate{Dep: c.d.attr, Ref: c.r}
 		}
-		var mres *Result
-		if opts.Shards > 1 {
-			mres, err = ShardedSpiderMerge(pairs, ShardedMergeOptions{
-				Counter: opts.Counter, Store: opts.Store, Shards: opts.Shards,
-				Workers: opts.MergeWorkers, Planner: opts.Planner,
-			})
-		} else {
-			mres, err = SpiderMerge(pairs, SpiderMergeOptions{Counter: opts.Counter, Store: opts.Store})
-		}
+		mres, err := SpiderMerge(pairs, SpiderMergeOptions{
+			Counter: opts.Counter, Store: opts.Store, Shards: opts.Shards, Workers: opts.MergeWorkers,
+		})
 		if err != nil {
 			return nil, err
 		}

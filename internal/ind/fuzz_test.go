@@ -138,16 +138,20 @@ func FuzzAlgorithmOne(f *testing.F) {
 	})
 }
 
-// FuzzPartialMerge derives a small attribute universe plus a threshold
-// from raw bytes and cross-checks the one-pass partial merge — unsharded
-// and sharded — against a naive per-candidate coverage oracle. Run with
+// FuzzPartialMerge derives a small attribute universe, a threshold and
+// a shard count in {1, 2, 3, 5} from raw bytes and cross-checks the
+// one-pass partial merge — unsharded and at that shard count — against
+// a naive per-candidate coverage oracle. The exact SpiderMerge, at the
+// same shard count, must return the oracle's σ = 1 set. Run with
 // go test -fuzz=FuzzPartialMerge.
 func FuzzPartialMerge(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 0xff, 4, 5, 6, 7, 8, 9, 10, 11}, byte(90))
-	f.Add([]byte{0, 0, 0, 0xff, 0xff, 1}, byte(50))
-	f.Add([]byte{7}, byte(100))
-	f.Fuzz(func(t *testing.T, data []byte, sigmaRaw byte) {
+	f.Add([]byte{1, 2, 3, 0xff, 4, 5, 6, 7, 8, 9, 10, 11}, byte(90), byte(2))
+	f.Add([]byte{0, 0, 0, 0xff, 0xff, 1}, byte(50), byte(1))
+	f.Add([]byte{7}, byte(100), byte(0))
+	f.Add([]byte{1, 2, 0xff, 1, 2, 3, 0xff, 3, 4, 0xff, 2}, byte(99), byte(3))
+	f.Fuzz(func(t *testing.T, data []byte, sigmaRaw, shardsRaw byte) {
 		sigma := float64(1+int(sigmaRaw)%100) / 100
+		shards := []int{1, 2, 3, 5}[shardsRaw%4]
 		attrs, sets := attrsFromBytes(data)
 		if len(attrs) < 2 {
 			t.Skip("not enough attributes")
@@ -165,14 +169,19 @@ func FuzzPartialMerge(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sharded, err := ShardedPartialSpiderMerge(cands, ShardedPartialMergeOptions{
-			Threshold: sigma, Source: src, Shards: 3,
+		sharded, err := PartialSpiderMerge(cands, PartialMergeOptions{
+			Threshold: sigma, Source: src, Shards: shards,
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact, err := SpiderMerge(cands, SpiderMergeOptions{Source: src, Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
 
 		var want []PartialMatch
+		var wantExact []IND
 		for _, c := range cands {
 			depVals, refVals := sets[c.Dep.ID], sets[c.Ref.ID]
 			refSet := make(map[string]bool, len(refVals))
@@ -186,6 +195,9 @@ func FuzzPartialMerge(f *testing.F) {
 				}
 			}
 			ind := IND{Dep: c.Dep.Ref, Ref: c.Ref.Ref}
+			if matched == len(depVals) {
+				wantExact = append(wantExact, ind)
+			}
 			if len(depVals) == 0 {
 				want = append(want, PartialMatch{IND: ind, Coverage: 1})
 				continue
@@ -196,11 +208,15 @@ func FuzzPartialMerge(f *testing.F) {
 			}
 		}
 		sortPartialMatches(want)
+		sortINDs(wantExact)
 		if !reflect.DeepEqual(got.Satisfied, want) {
 			t.Errorf("σ=%g: merge = %+v, want %+v", sigma, got.Satisfied, want)
 		}
 		if !reflect.DeepEqual(sharded.Satisfied, want) {
-			t.Errorf("σ=%g: sharded merge = %+v, want %+v", sigma, sharded.Satisfied, want)
+			t.Errorf("σ=%g S=%d: sharded merge = %+v, want %+v", sigma, shards, sharded.Satisfied, want)
+		}
+		if !reflect.DeepEqual(exact.Satisfied, wantExact) {
+			t.Errorf("S=%d: exact merge = %v, want %v", shards, exact.Satisfied, wantExact)
 		}
 	})
 }

@@ -67,7 +67,7 @@ const (
 	// NaryMerge exports, per level, one sorted encoded-tuple stream per
 	// candidate column list and verifies all of the level's candidates in
 	// a single (optionally sharded) SpiderMerge heap merge — the same
-	// count-free k-way merge the unary engine uses. Peak memory is
+	// k-way merge the unary engine uses. Peak memory is
 	// bounded by the external-sort buffers, not by tuple-set sizes.
 	NaryMerge
 )
@@ -503,21 +503,7 @@ func mergeUnarySeed(db *relstore.Database, eligible []*Attribute, opts NaryOptio
 		Workers: naryWorkers(opts.ExportWorkers),
 		Format:  opts.Sort.Format,
 	}
-	if opts.Shards > 1 {
-		smOpts := ShardedMergeOptions{Counter: counter, Store: opts.Store, Shards: opts.Shards, Workers: opts.MergeWorkers}
-		if opts.Streaming {
-			src, err := StreamAttributesShared(db, eligible, exportCfg, counter)
-			if err != nil {
-				return nil, err
-			}
-			defer src.Close()
-			smOpts.Source = src
-		} else if err := ExportAttributes(db, eligible, exportCfg); err != nil {
-			return nil, err
-		}
-		return ShardedSpiderMerge(seedCandidates(eligible, res), smOpts)
-	}
-	smOpts := SpiderMergeOptions{Counter: counter, Store: opts.Store}
+	smOpts := SpiderMergeOptions{Counter: counter, Store: opts.Store, Shards: opts.Shards, Workers: opts.MergeWorkers}
 	if opts.Streaming {
 		src, err := StreamAttributes(db, eligible, exportCfg, counter)
 		if err != nil {

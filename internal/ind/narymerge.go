@@ -20,7 +20,7 @@ import (
 // list becomes one synthetic attribute whose value set is the sorted
 // distinct stream of its encoded tuples (NULL-containing tuples dropped,
 // deduplication by the external sorter); the whole level's candidates
-// are then decided in a single count-free heap merge — optionally
+// are then decided in a single heap merge — optionally
 // sharded across disjoint ranges of the encoded value space — exactly as
 // the unary engine decides its candidates. Verification becomes
 // I/O-bound: peak memory is the extsort buffer, never a tuple set.
@@ -178,15 +178,16 @@ func (m *mergeLevelVerifier) verifyCands(arity int, cands []naryCand) ([]bool, e
 }
 
 // runMerge extracts every list's encoded tuple stream in the configured
-// mode (per-level value files, or spill-run streaming) and decides the
-// level's candidates in one SpiderMerge — sharded when requested.
+// mode (frozen spill runs when streaming, per-level value files
+// otherwise) and decides the level's candidates in one SpiderMerge —
+// sharded when requested.
 func (m *mergeLevelVerifier) runMerge(arity int, lists []*tupleList, pairs []Candidate, counter *valfile.ReadCounter) (*Result, error) {
 	workers := naryWorkers(m.opts.ExportWorkers)
 	sortCfg := m.sortConfig()
-	switch {
-	case m.opts.Streaming && m.opts.Shards > 1:
-		// Sharded streaming: freeze each list's sorter into shareable
-		// runs every shard replays over its own range.
+	smOpts := SpiderMergeOptions{Counter: counter, Store: m.opts.Store, Shards: m.opts.Shards, Workers: m.opts.MergeWorkers}
+	if m.opts.Streaming {
+		// Each list's sorter is frozen into runs the merge replays —
+		// once per shard, over the shard's own range, when sharded.
 		src := NewRunsSource(counter)
 		defer src.Close()
 		var mu sync.Mutex
@@ -208,86 +209,59 @@ func (m *mergeLevelVerifier) runMerge(arity int, lists []*tupleList, pairs []Can
 		if err != nil {
 			return nil, err
 		}
-		return ShardedSpiderMerge(pairs, ShardedMergeOptions{
-			Counter: counter, Source: src,
-			Shards: m.opts.Shards, Workers: m.opts.MergeWorkers,
-		})
-	case m.opts.Streaming:
-		src := NewSorterSource(counter)
-		defer src.Close()
-		var mu sync.Mutex
-		err := runShards(len(lists), workers, func(i int) error {
-			sorter, err := m.listSorter(arity, lists[i], sortCfg)
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			src.Add(lists[i].attr, sorter)
-			mu.Unlock()
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return SpiderMerge(pairs, SpiderMergeOptions{Counter: counter, Source: src})
-	default:
-		// Per-level tuple sets staged into the scratch dataset, removed
-		// once the level is decided so storage stays bounded by one
-		// level. Keys draw from an atomic sequence: concurrent groups at
-		// the same arity share the dataset and must never collide.
-		keys := make([]string, len(lists))
-		defer func() {
-			for _, k := range keys {
-				if k != "" {
-					m.scratch.Remove(k)
-				}
-			}
-		}()
-		err := runShards(len(lists), workers, func(i int) error {
-			sorter, err := m.listSorter(arity, lists[i], sortCfg)
-			if err != nil {
-				return err
-			}
-			defer sorter.Discard() // no-op after DrainTo; reclaims runs on early error
-			key := fmt.Sprintf("nary_l%02d_%06d.val", arity, m.seq.Add(1))
-			w, err := m.scratch.Create(key)
-			if err != nil {
-				return err
-			}
-			n, _, meta, err := sorter.DrainTo(w, nil)
-			if err != nil {
-				w.Close()
-				removeIfPresent(m.scratch, key)
-				return err
-			}
-			if err := w.SetSection(valfile.RunMetaSection, meta.Encode()); err != nil {
-				w.Close()
-				removeIfPresent(m.scratch, key)
-				return err
-			}
-			if err := w.Close(); err != nil {
-				removeIfPresent(m.scratch, key)
-				return err
-			}
-			keys[i] = key
-			lists[i].attr.Key = key
-			if fs, ok := m.scratch.(*store.FS); ok {
-				lists[i].attr.Path = fs.Path(key)
-			}
-			lists[i].attr.Distinct = n
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		if m.opts.Shards > 1 {
-			return ShardedSpiderMerge(pairs, ShardedMergeOptions{
-				Counter: counter, Store: m.opts.Store,
-				Shards: m.opts.Shards, Workers: m.opts.MergeWorkers,
-			})
-		}
-		return SpiderMerge(pairs, SpiderMergeOptions{Counter: counter, Store: m.opts.Store})
+		smOpts.Source = src
+		return SpiderMerge(pairs, smOpts)
 	}
+	// Per-level tuple sets staged into the scratch dataset, removed once
+	// the level is decided so storage stays bounded by one level. Keys
+	// draw from an atomic sequence: concurrent groups at the same arity
+	// share the dataset and must never collide.
+	keys := make([]string, len(lists))
+	defer func() {
+		for _, k := range keys {
+			if k != "" {
+				m.scratch.Remove(k)
+			}
+		}
+	}()
+	err := runShards(len(lists), workers, func(i int) error {
+		sorter, err := m.listSorter(arity, lists[i], sortCfg)
+		if err != nil {
+			return err
+		}
+		defer sorter.Discard() // no-op after DrainTo; reclaims runs on early error
+		key := fmt.Sprintf("nary_l%02d_%06d.val", arity, m.seq.Add(1))
+		w, err := m.scratch.Create(key)
+		if err != nil {
+			return err
+		}
+		n, _, meta, err := sorter.DrainTo(w, nil)
+		if err != nil {
+			w.Close()
+			removeIfPresent(m.scratch, key)
+			return err
+		}
+		if err := w.SetSection(valfile.RunMetaSection, meta.Encode()); err != nil {
+			w.Close()
+			removeIfPresent(m.scratch, key)
+			return err
+		}
+		if err := w.Close(); err != nil {
+			removeIfPresent(m.scratch, key)
+			return err
+		}
+		keys[i] = key
+		lists[i].attr.Key = key
+		if fs, ok := m.scratch.(*store.FS); ok {
+			lists[i].attr.Path = fs.Path(key)
+		}
+		lists[i].attr.Distinct = n
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return SpiderMerge(pairs, smOpts)
 }
 
 // listSorter produces the list's sorted tuple stream: a speculative
@@ -311,7 +285,7 @@ func (m *mergeLevelVerifier) listSorter(arity int, l *tupleList, cfg extsort.Con
 
 // fillTupleSorter scans the list's table once, pushing every NULL-free
 // encoded tuple through a fresh external sorter, and fills the synthetic
-// attribute's statistics (the sharded engine's range pruning reads
+// attribute's statistics (a sharded merge's range pruning reads
 // NonNull/Distinct/Min/Max; Distinct is refined to the exact count when
 // a value file is written). A cancel channel in cfg aborts the scan
 // promptly (speculative extractions are cancelled at level barriers).

@@ -12,9 +12,9 @@ import (
 )
 
 // TestPartialSpiderMergeMatchesBruteForce is the partial engine's pinning
-// property test: on random dirty databases, PartialSpiderMerge and
-// ShardedPartialSpiderMerge at S ∈ {1, 2, 4} — over files, memory, and
-// shared spill runs — return results identical to BruteForcePartial at
+// property test: on random dirty databases, PartialSpiderMerge unsharded
+// and at S ∈ {1, 2, 4} — over files, memory, and frozen spill runs —
+// returns results identical to BruteForcePartial at
 // several thresholds: same satisfied sets, same coverages, same Missing
 // counts.
 func TestPartialSpiderMergeMatchesBruteForce(t *testing.T) {
@@ -52,13 +52,13 @@ func TestPartialSpiderMergeMatchesBruteForce(t *testing.T) {
 
 				for _, shards := range []int{1, 2, 4} {
 					workers := 1 + rng.Intn(4)
-					sharded, err := ShardedPartialSpiderMerge(cands, ShardedPartialMergeOptions{
+					sharded, err := PartialSpiderMerge(cands, PartialMergeOptions{
 						Threshold: sigma, Shards: shards, Workers: workers,
 					})
 					if err != nil {
 						t.Fatal(err)
 					}
-					mem, err := ShardedPartialSpiderMerge(cands, ShardedPartialMergeOptions{
+					mem, err := PartialSpiderMerge(cands, PartialMergeOptions{
 						Threshold: sigma, Source: memSource(sets),
 						Shards: shards, Workers: workers,
 					})
@@ -66,7 +66,7 @@ func TestPartialSpiderMergeMatchesBruteForce(t *testing.T) {
 						t.Fatal(err)
 					}
 					src := sharedRunsSource(t, rng, dir, attrs, sets)
-					stream, err := ShardedPartialSpiderMerge(cands, ShardedPartialMergeOptions{
+					stream, err := PartialSpiderMerge(cands, PartialMergeOptions{
 						Threshold: sigma, Source: src, Shards: shards, Workers: workers,
 					})
 					src.Close()
@@ -144,7 +144,7 @@ func TestPartialMergeIntegralThreshold(t *testing.T) {
 		t.Fatalf("brute-force baseline unexpected: %+v", want.Satisfied)
 	}
 	for _, shards := range []int{1, 2, 4} {
-		got, err := ShardedPartialSpiderMerge(cands, ShardedPartialMergeOptions{Threshold: 0.9, Shards: shards})
+		got, err := PartialSpiderMerge(cands, PartialMergeOptions{Threshold: 0.9, Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,8 +185,8 @@ func TestPartialMergeRejectsBadThreshold(t *testing.T) {
 		if _, err := PartialSpiderMerge(nil, PartialMergeOptions{Threshold: sigma}); err == nil {
 			t.Errorf("PartialSpiderMerge must reject threshold %v", sigma)
 		}
-		if _, err := ShardedPartialSpiderMerge(nil, ShardedPartialMergeOptions{Threshold: sigma}); err == nil {
-			t.Errorf("ShardedPartialSpiderMerge must reject threshold %v", sigma)
+		if _, err := PartialSpiderMerge(nil, PartialMergeOptions{Threshold: sigma, Shards: 3}); err == nil {
+			t.Errorf("sharded PartialSpiderMerge must reject threshold %v", sigma)
 		}
 	}
 }
@@ -204,7 +204,7 @@ func TestPartialMergeCorruptFile(t *testing.T) {
 	if _, err := PartialSpiderMerge(cands, PartialMergeOptions{Threshold: 0.5}); err == nil {
 		t.Error("partial merge must report corrupt file")
 	}
-	if _, err := ShardedPartialSpiderMerge(cands, ShardedPartialMergeOptions{Threshold: 0.5, Shards: 3}); err == nil {
+	if _, err := PartialSpiderMerge(cands, PartialMergeOptions{Threshold: 0.5, Shards: 3}); err == nil {
 		t.Error("sharded partial merge must report corrupt file")
 	}
 }

@@ -25,14 +25,13 @@ func TestEnginesNilCounterSafe(t *testing.T) {
 		run  func() (*Result, error)
 	}{
 		{"brute-force", func() (*Result, error) { return BruteForce(cands, BruteForceOptions{}) }},
-		{"brute-force-parallel", func() (*Result, error) { return BruteForceParallel(cands, ParallelOptions{}) }},
 		{"single-pass", func() (*Result, error) { return SinglePass(cands, SinglePassOptions{}) }},
 		{"single-pass-blocked", func() (*Result, error) {
 			return SinglePassBlocked(cands, BlockedOptions{DepBlock: 2, RefBlock: 2})
 		}},
 		{"spider-merge", func() (*Result, error) { return SpiderMerge(cands, SpiderMergeOptions{}) }},
 		{"sharded-merge", func() (*Result, error) {
-			return ShardedSpiderMerge(cands, ShardedMergeOptions{Shards: 2})
+			return SpiderMerge(cands, SpiderMergeOptions{Shards: 2})
 		}},
 	}
 	for _, e := range engines {
@@ -66,7 +65,7 @@ func TestPartialEnginesNilCounterSafe(t *testing.T) {
 	if err != nil {
 		t.Fatalf("partial-merge with nil Counter: %v", err)
 	}
-	sharded, err := ShardedPartialSpiderMerge(cands, ShardedPartialMergeOptions{Threshold: 0.8, Shards: 2})
+	sharded, err := PartialSpiderMerge(cands, PartialMergeOptions{Threshold: 0.8, Shards: 2})
 	if err != nil {
 		t.Fatalf("sharded-partial-merge with nil Counter: %v", err)
 	}

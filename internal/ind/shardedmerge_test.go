@@ -38,11 +38,11 @@ func sharedRunsSource(t *testing.T, rng *rand.Rand, dir string, attrs []*Attribu
 	return src
 }
 
-// TestShardedSpiderMergePropertyAgreement is the sharded engine's
+// TestShardedSpiderMergePropertyAgreement is the sharded merge's
 // cross-algorithm property test: on randomly generated databases,
-// ShardedSpiderMerge at S ∈ {1, 2, 4, 7} — over files, memory, and
-// shared spill runs — agrees exactly with the in-memory Reference oracle
-// and with the single-threaded SpiderMerge.
+// SpiderMerge at S ∈ {1, 2, 4, 7} — over files, memory, and frozen
+// spill runs — agrees exactly with the in-memory Reference oracle and
+// with the unsharded SpiderMerge.
 func TestShardedSpiderMergePropertyAgreement(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -63,20 +63,20 @@ func TestShardedSpiderMergePropertyAgreement(t *testing.T) {
 			for _, shards := range []int{1, 2, 4, 7} {
 				workers := 1 + rng.Intn(4)
 				var c valfile.ReadCounter
-				got, err := ShardedSpiderMerge(cands, ShardedMergeOptions{
+				got, err := SpiderMerge(cands, SpiderMergeOptions{
 					Counter: &c, Shards: shards, Workers: workers,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotMem, err := ShardedSpiderMerge(cands, ShardedMergeOptions{
+				gotMem, err := SpiderMerge(cands, SpiderMergeOptions{
 					Source: memSource(sets), Shards: shards, Workers: workers,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
 				src := sharedRunsSource(t, rng, dir, attrs, sets)
-				gotStream, err := ShardedSpiderMerge(cands, ShardedMergeOptions{
+				gotStream, err := SpiderMerge(cands, SpiderMergeOptions{
 					Source: src, Shards: shards, Workers: workers,
 				})
 				src.Close()
@@ -107,8 +107,9 @@ func TestShardedSpiderMergePropertyAgreement(t *testing.T) {
 }
 
 // TestShardedSpiderMergeExplicitBoundaries pins the range semantics: a
-// hand-chosen boundary set must split the work yet return the same INDs,
-// and boundaries out of order must be rejected.
+// hand-chosen boundary set given to the merge core must split the work
+// yet return the same INDs, and boundaries out of order must be
+// rejected.
 func TestShardedSpiderMergeExplicitBoundaries(t *testing.T) {
 	sets := map[int][]string{
 		0: {"a", "b", "m", "z"},
@@ -127,30 +128,32 @@ func TestShardedSpiderMergeExplicitBoundaries(t *testing.T) {
 	cands := allPairs(attrs)
 	want := Reference(cands, sets)
 
-	res, err := ShardedSpiderMerge(cands, ShardedMergeOptions{
-		Source:     memSource(sets),
-		Shards:     3,
-		Boundaries: []string{"c", "n"},
-	})
+	run, err := runMerge(cands, 1, memSource(sets), 3, 0, []string{"c", "n"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res.Satisfied, want.Satisfied) {
-		t.Errorf("INDs = %v, want %v", res.Satisfied, want.Satisfied)
+	var got []IND
+	for i, c := range run.cands {
+		if !run.counts[i].dropped {
+			got = append(got, IND{Dep: c.Dep.Ref, Ref: c.Ref.Ref})
+		}
+	}
+	sortINDs(got)
+	if !reflect.DeepEqual(got, want.Satisfied) {
+		t.Errorf("INDs = %v, want %v", got, want.Satisfied)
+	}
+	if run.stats.ShardPlanner != "explicit" || len(run.stats.ShardItemsRead) != 3 {
+		t.Errorf("planner %q over %d shards, want explicit over 3", run.stats.ShardPlanner, len(run.stats.ShardItemsRead))
 	}
 
-	if _, err := ShardedSpiderMerge(cands, ShardedMergeOptions{
-		Source:     memSource(sets),
-		Shards:     3,
-		Boundaries: []string{"n", "c"},
-	}); err == nil {
+	if _, err := runMerge(cands, 1, memSource(sets), 3, 0, []string{"n", "c"}); err == nil {
 		t.Error("descending boundaries must be rejected")
 	}
 }
 
 // TestShardedSpiderMergeEmptyCandidates covers the degenerate run.
 func TestShardedSpiderMergeEmptyCandidates(t *testing.T) {
-	res, err := ShardedSpiderMerge(nil, ShardedMergeOptions{Shards: 4})
+	res, err := SpiderMerge(nil, SpiderMergeOptions{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,20 +165,23 @@ func TestShardedSpiderMergeEmptyCandidates(t *testing.T) {
 // TestShardedSpiderMergeStatsAggregation asserts the per-shard stats
 // combination rules: Comparisons and FilesOpened sum over shards,
 // MaxOpenFiles is the per-merge peak (never more than one cursor per
-// involved attribute).
+// involved attribute). The unsharded run carries no shard fields.
 func TestShardedSpiderMergeStatsAggregation(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	dir := t.TempDir()
 	attrs, _ := randomAttrs(t, rng, dir, 10)
 	cands := allPairs(attrs)
 
-	single, err := ShardedSpiderMerge(cands, ShardedMergeOptions{Shards: 1})
+	single, err := SpiderMerge(cands, SpiderMergeOptions{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := ShardedSpiderMerge(cands, ShardedMergeOptions{Shards: 4})
+	sharded, err := SpiderMerge(cands, SpiderMergeOptions{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if single.Stats.ShardPlanner != "" || single.Stats.ShardItemsRead != nil || single.Stats.ShardDurations != nil {
+		t.Errorf("unsharded run reports shard stats: %+v", single.Stats)
 	}
 	// FilesOpened sums across shards; range pruning means a shard opens
 	// only its overlapping attributes, so the total is bounded by one
@@ -194,75 +200,75 @@ func TestShardedSpiderMergeStatsAggregation(t *testing.T) {
 }
 
 // TestShardPlannerPropertyAgreement pins the planner axis of the sharded
-// engine: on random databases whose attributes carry KMV value samples,
-// the kmv planner, the minmax planner and the unsharded S=1 run return
-// byte-identical satisfied sets at S ∈ {1, 2, 4, 7}, over both value
-// files and shared spill runs — and Stats faithfully records which
-// planner actually produced the boundaries.
+// merge: on random databases, runs whose attributes carry KMV value
+// samples (kmv planning) and runs without them (min/max planning)
+// return the unsharded run's satisfied set at S ∈ {1, 2, 4, 7}, over
+// both value files and frozen spill runs — and Stats faithfully records
+// which planner actually produced the boundaries.
 func TestShardPlannerPropertyAgreement(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			dir := t.TempDir()
 			attrs, sets := randomAttrs(t, rng, dir, 3+rng.Intn(12))
-			for _, a := range attrs {
-				a.Sketch = sketchFromSet(sketch.Config{}, sets[a.ID])
-			}
 			cands := allPairs(attrs)
 			want, err := SpiderMerge(cands, SpiderMergeOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Mirror the engine's sample-availability rule: the generator can
-			// emit an attribute with phantom non-null rows but an empty value
-			// set, whose sketch then has no sample — kmv planning must fall
-			// back to min/max for the whole run rather than guess.
-			haveSamples := false
-			for _, a := range attrs {
-				if a.Distinct <= 0 && a.NonNull <= 0 {
-					continue
-				}
-				if len(a.Sketch.Sample()) == 0 {
-					haveSamples = false
-					break
-				}
-				haveSamples = true
-			}
 
-			for _, shards := range []int{1, 2, 4, 7} {
-				for _, planner := range []ShardPlanner{PlannerAuto, PlannerMinMax, PlannerKMV} {
-					got, err := ShardedSpiderMerge(cands, ShardedMergeOptions{
-						Shards: shards, Planner: planner,
-					})
+			for _, withSamples := range []bool{true, false} {
+				for _, a := range attrs {
+					a.Sketch = nil
+					if withSamples {
+						a.Sketch = sketchFromSet(sketch.Config{}, sets[a.ID])
+					}
+				}
+				// Mirror the engine's sample-availability rule: the generator
+				// can emit an attribute with phantom non-null rows but an empty
+				// value set, whose sketch then has no sample — planning must
+				// fall back to min/max for the whole run rather than guess.
+				haveSamples := false
+				for _, a := range attrs {
+					if a.Distinct <= 0 && a.NonNull <= 0 {
+						continue
+					}
+					if a.Sketch == nil || len(a.Sketch.Sample()) == 0 {
+						haveSamples = false
+						break
+					}
+					haveSamples = true
+				}
+
+				for _, shards := range []int{1, 2, 4, 7} {
+					got, err := SpiderMerge(cands, SpiderMergeOptions{Shards: shards})
 					if err != nil {
 						t.Fatal(err)
 					}
 					src := sharedRunsSource(t, rng, dir, attrs, sets)
-					gotStream, err := ShardedSpiderMerge(cands, ShardedMergeOptions{
-						Source: src, Shards: shards, Planner: planner,
-					})
+					gotStream, err := SpiderMerge(cands, SpiderMergeOptions{Source: src, Shards: shards})
 					src.Close()
 					if err != nil {
 						t.Fatal(err)
 					}
 					for name, res := range map[string]*Result{"files": got, "stream": gotStream} {
 						if !reflect.DeepEqual(res.Satisfied, want.Satisfied) {
-							t.Errorf("S=%d planner=%v %s INDs = %v\nwant %v",
-								shards, planner, name, res.Satisfied, want.Satisfied)
+							t.Errorf("S=%d samples=%v %s INDs = %v\nwant %v",
+								shards, withSamples, name, res.Satisfied, want.Satisfied)
 						}
-						wantName := "single"
+						wantName := ""
 						if shards > 1 {
 							wantName = "minmax"
-							if planner != PlannerMinMax && haveSamples {
-								wantName = "kmv" // auto and kmv both plan from the samples
+							if haveSamples {
+								wantName = "kmv"
 							}
 						}
 						if res.Stats.ShardPlanner != wantName {
-							t.Errorf("S=%d planner=%v %s Stats.ShardPlanner = %q, want %q",
-								shards, planner, name, res.Stats.ShardPlanner, wantName)
+							t.Errorf("S=%d samples=%v %s Stats.ShardPlanner = %q, want %q",
+								shards, withSamples, name, res.Stats.ShardPlanner, wantName)
 						}
 						if shards > 1 && len(res.Stats.ShardItemsRead) == 0 {
-							t.Errorf("S=%d planner=%v %s missing per-shard read tallies", shards, planner, name)
+							t.Errorf("S=%d samples=%v %s missing per-shard read tallies", shards, withSamples, name)
 						}
 					}
 				}
@@ -290,10 +296,11 @@ func shardSkew(reads []int64) float64 {
 // TestKMVPlannerBalancesSkew drives both planners over a Zipf-skewed key
 // population (datagen.Skewed: distinct keys crowd the low end of the key
 // space, outliers stretch the span ~1000x beyond the crowd) and asserts
-// the planning claim itself: min/max planning — equal key range, blind to
-// density — leaves the merge lopsided, while KMV sample planning keeps
-// max/mean per-shard items read under a tight bound. Both runs must still
-// agree on the satisfied set.
+// the planning claim itself: min/max planning (the attributes stripped
+// of their sketches) — equal key range, blind to density — leaves the
+// merge lopsided, while KMV sample planning keeps max/mean per-shard
+// items read under a tight bound. Both runs must still agree on the
+// satisfied set.
 func TestKMVPlannerBalancesSkew(t *testing.T) {
 	db := datagen.Skewed(datagen.SkewedConfig{Seed: 1})
 	dir := t.TempDir()
@@ -301,28 +308,30 @@ func TestKMVPlannerBalancesSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var keys []*Attribute
+	var keys, plain []*Attribute
 	for _, a := range attrs {
 		if a.Ref.Column == "id" || a.Ref.Column == "fk" {
 			keys = append(keys, a)
+			stripped := *a
+			stripped.Sketch = nil
+			plain = append(plain, &stripped)
 		}
 	}
 	if len(keys) != 2 {
 		t.Fatalf("expected the two key attributes, got %d", len(keys))
 	}
-	cands := allPairs(keys)
 
 	const shards = 4
-	run := func(p ShardPlanner) *Result {
+	run := func(attrs []*Attribute) *Result {
 		t.Helper()
-		res, err := ShardedSpiderMerge(cands, ShardedMergeOptions{Shards: shards, Planner: p})
+		res, err := SpiderMerge(allPairs(attrs), SpiderMergeOptions{Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	kmv := run(PlannerKMV)
-	mm := run(PlannerMinMax)
+	kmv := run(keys)
+	mm := run(plain)
 
 	if kmv.Stats.ShardPlanner != "kmv" {
 		t.Fatalf("kmv run planned by %q (fallback: %q)", kmv.Stats.ShardPlanner, kmv.Stats.ShardPlanFallback)

@@ -111,19 +111,7 @@ func TestSpiderMergePropertyAgreement(t *testing.T) {
 			// Streaming: feed each attribute's values (shuffled, with
 			// duplicates) through a tiny-budget external sorter and merge
 			// straight from the spill runs.
-			src := NewSorterSource(nil)
-			for _, a := range attrs {
-				sorter := extsort.New(extsort.Config{MaxInMemory: 4, TempDir: dir})
-				vals := append([]string(nil), sets[a.ID]...)
-				vals = append(vals, sets[a.ID]...) // duplicates
-				rng.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
-				for _, v := range vals {
-					if err := sorter.Add(v); err != nil {
-						t.Fatal(err)
-					}
-				}
-				src.Add(a, sorter)
-			}
+			src := sharedRunsSource(t, rng, dir, attrs, sets)
 			smStream, err := SpiderMerge(cands, SpiderMergeOptions{Source: src})
 			src.Close()
 			if err != nil {

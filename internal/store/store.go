@@ -63,7 +63,7 @@ type Dataset interface {
 	Open(key string, counter *valfile.ReadCounter) (Cursor, error)
 
 	// OpenRange returns a cursor restricted to the canonical value
-	// range bounds — the sharded engines' access path. It must be safe
+	// range bounds — a sharded merge's access path. It must be safe
 	// to open the same key once per shard, concurrently.
 	OpenRange(key string, counter *valfile.ReadCounter, bounds valfile.Range) (Cursor, error)
 

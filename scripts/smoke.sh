@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end smoke test: build cmd/indfind and profile the CSV tables in
 # examples/data in exact, partial and n-ary modes — in both value-file
-# encodings (-format text and -format block) and across the storage
-# backends (-backend fs|mem|snapshot) — asserting that each mode
+# encodings (-format text and -format block), streamed and sharded, and
+# across the storage backends (-backend fs|mem|snapshot) — asserting that each mode
 # discovers the INDs planted in the data and exits zero. CI runs this on
 # every push; it is also handy locally:
 #
@@ -48,6 +48,26 @@ for fmt in text block; do
     || fail "no arity-2 INDs discovered (-format $fmt)"
   grep -q "transcripts.gene_id" <<<"$out" || fail "arity-2 IND does not involve transcripts.gene_id (-format $fmt)"
 done
+
+# One merge core serves every spider-merge mode: unsharded exact
+# streaming (frozen spill runs), partial streaming, partial sharded, and
+# n-ary levels streamed across shards must all find the planted INDs.
+echo "+ indfind -csv $data -algo spider-merge -streaming"
+out=$("$bin" -csv "$data" -algo spider-merge -streaming)
+grep -q "transcripts.gene_id ⊆ genes.gene_id" <<<"$out" \
+  || fail "expected exact IND missing for: -streaming"
+for args in "-partial 0.9 -streaming" "-partial 0.9 -shards 3"; do
+  echo "+ indfind -csv $data -algo spider-merge $args"
+  # shellcheck disable=SC2086
+  out=$("$bin" -csv "$data" -algo spider-merge $args)
+  grep -q "xrefs.gene ⊆ genes.gene_id" <<<"$out" \
+    || fail "expected partial IND xrefs.gene ⊆ genes.gene_id missing for: $args"
+done
+echo "+ indfind -csv $data -algo spider-merge -nary 2 -streaming -shards 3"
+out=$("$bin" -csv "$data" -algo spider-merge -nary 2 -streaming -shards 3)
+grep -Eq "n-ary INDs \(arity 2\.\.2\): [1-9]" <<<"$out" \
+  || fail "no arity-2 INDs discovered (-streaming -shards 3)"
+grep -q "transcripts.gene_id" <<<"$out" || fail "arity-2 IND does not involve transcripts.gene_id (-streaming -shards 3)"
 
 # Storage backends: the same exact, partial and n-ary discoveries must
 # hold with the value sets staged in memory or served from a read-only

@@ -12,11 +12,11 @@
 // heuristics, the Sec 4.2 block-wise single pass, and the Sec 5 schema
 // discovery heuristics (foreign-key evaluation, accession-number
 // candidates, primary relation, and the five-step Aladin pipeline).
-// Beyond the paper it adds modern extensions: a parallel brute force, an
-// in-memory baseline, and SpiderMerge — a k-way heap merge over streaming
-// value cursors that keeps the single-pass I/O optimum without its
-// synchronisation overhead, optionally consuming external-sort spill runs
-// directly (Options.Streaming) with parallel attribute export.
+// Beyond the paper it adds modern extensions: an in-memory baseline and
+// SpiderMerge — a k-way heap merge over streaming value cursors that
+// keeps the single-pass I/O optimum without its synchronisation
+// overhead, optionally consuming external-sort spill runs directly
+// (Options.Streaming) with parallel attribute export.
 //
 // Quick start:
 //
@@ -92,9 +92,6 @@ const (
 	// constraints plus transitivity inference. It applies its own
 	// pretests regardless of Options.
 	BellBrockhausenBaseline
-	// BruteForceParallel runs Algorithm 1 on a worker pool — a modern
-	// extension beyond the paper's single-threaded implementations.
-	BruteForceParallel
 	// SpiderMerge tests all candidates in one pass via a k-way min-heap
 	// merge over all attribute cursors — the production fast path: the
 	// single-pass I/O optimum without the event-driven synchronisation
@@ -123,55 +120,10 @@ func (a Algorithm) String() string {
 		return "demarchi"
 	case BellBrockhausenBaseline:
 		return "bell-brockhausen"
-	case BruteForceParallel:
-		return "brute-force-parallel"
 	case SpiderMerge:
 		return "spider-merge"
 	default:
 		return fmt.Sprintf("Algorithm(%d)", int(a))
-	}
-}
-
-// ShardPlanner selects how sharded merges plan their range boundaries.
-type ShardPlanner int
-
-const (
-	// PlannerAuto (the default) plans boundaries from KMV sketch value
-	// samples when every attribute carries one (equal estimated mass per
-	// shard), and falls back to even min/max splitting otherwise.
-	PlannerAuto ShardPlanner = iota
-	// PlannerMinMax always splits the global min/max key range into
-	// equal-width shards, regardless of the value distribution.
-	PlannerMinMax
-	// PlannerKMV insists on sample-based planning; when samples are
-	// unavailable it still falls back to min/max but records why in
-	// Stats.ShardPlanFallback.
-	PlannerKMV
-)
-
-// String names the planner.
-func (p ShardPlanner) String() string {
-	switch p {
-	case PlannerAuto:
-		return "auto"
-	case PlannerMinMax:
-		return "minmax"
-	case PlannerKMV:
-		return "kmv"
-	default:
-		return fmt.Sprintf("ShardPlanner(%d)", int(p))
-	}
-}
-
-// internal maps the public planner onto the engine enum.
-func (p ShardPlanner) internal() ind.ShardPlanner {
-	switch p {
-	case PlannerMinMax:
-		return ind.PlannerMinMax
-	case PlannerKMV:
-		return ind.PlannerKMV
-	default:
-		return ind.PlannerAuto
 	}
 }
 
@@ -234,8 +186,6 @@ type Options struct {
 	Transitivity bool
 	// DepBlock/RefBlock bound open files for SinglePassBlocked.
 	DepBlock, RefBlock int
-	// Workers sizes the BruteForceParallel pool (default GOMAXPROCS).
-	Workers int
 	// ExportWorkers bounds the attribute-export worker pool; 0 selects
 	// GOMAXPROCS, 1 exports sequentially (the paper's behaviour).
 	ExportWorkers int
@@ -245,18 +195,15 @@ type Options struct {
 	Streaming bool
 	// Shards (SpiderMerge only) partitions the canonical value space into
 	// that many disjoint ranges and runs one independent heap merge per
-	// range concurrently; 0 or 1 keeps the single-threaded merge. The IND
-	// output is identical regardless of the shard count.
+	// range concurrently; 0 or 1 keeps the single-threaded merge. Shard
+	// boundaries balance estimated value mass using the KMV sketch
+	// samples built by SketchPrefilter; without sketches they split the
+	// min/max key range evenly. The IND output is identical regardless
+	// of the shard count — only the per-shard load changes.
 	Shards int
 	// MergeWorkers bounds the shard worker pool; 0 selects
 	// min(Shards, GOMAXPROCS).
 	MergeWorkers int
-	// Planner selects the shard boundary planning strategy (sharded
-	// SpiderMerge only). PlannerAuto balances shards by estimated value
-	// mass using the KMV sketch samples built by SketchPrefilter; without
-	// sketches it splits the min/max key range evenly. The IND output is
-	// identical under every planner — only the per-shard load changes.
-	Planner ShardPlanner
 	// SketchPrefilter enables the per-attribute sketch pre-filter: a
 	// KMV min-hash signature plus a partitioned bloom filter, built for
 	// every attribute in the same streaming pass that extracts its
@@ -317,7 +264,9 @@ type Stats struct {
 	// Comparisons counts value comparisons.
 	Comparisons int64
 	// MaxOpenFiles is the peak number of simultaneously open value files,
-	// the single-pass scalability limit of Sec 4.2.
+	// the single-pass scalability limit of Sec 4.2. On a sharded run it
+	// is the largest single shard's peak, so up to min(MergeWorkers,
+	// Shards) times that many files can be open at once.
 	MaxOpenFiles int
 	// Events counts single-pass monitor deliveries (the synchronisation
 	// overhead of Sec 3.3).
@@ -328,10 +277,11 @@ type Stats struct {
 	CandidatesPruned int
 	SketchBytes      int64
 	// Sharded-run observability (empty on unsharded runs). ShardPlanner
-	// names the boundary strategy that actually ran ("explicit", "kmv",
-	// "minmax", "single"); ShardPlanFallback records why a requested
-	// strategy degraded — e.g. KMV samples absent, or the boundary sample
-	// collapsing the run to one shard — instead of hiding the collapse.
+	// names the boundary planner that ran: "kmv" when every attribute
+	// carries a sketch value sample, else "minmax". ShardPlanFallback
+	// records why the plan has fewer shards than requested — a skewed
+	// KMV sample, or the min/max sample collapsing to one shard —
+	// instead of hiding the collapse.
 	// ShardItemsRead and ShardDurations break the merge work down per
 	// shard, so load skew is measurable.
 	ShardPlanner      string
@@ -536,21 +486,12 @@ func FindINDs(db *Database, opts Options) (*Result, error) {
 		Sketches: opts.SketchPrefilter, SketchConfig: opts.sketchConfig(),
 		Format: opts.Format.internal(),
 	}
-	var streamSrc *ind.SorterSource
-	var sharedSrc *ind.RunsSource
+	var streamSrc *ind.RunsSource
 	switch {
 	case exportFiles:
 		if err := ind.ExportAttributes(db.rel, attrs, exportCfg); err != nil {
 			return nil, err
 		}
-	case opts.Streaming && opts.Shards > 1:
-		// Sharded streaming freezes each attribute's sorter into
-		// shareable runs that every shard replays over its own range.
-		sharedSrc, err = ind.StreamAttributesShared(db.rel, attrs, exportCfg, &counter)
-		if err != nil {
-			return nil, err
-		}
-		defer sharedSrc.Close()
 	case opts.Streaming:
 		streamSrc, err = ind.StreamAttributes(db.rel, attrs, exportCfg, &counter)
 		if err != nil {
@@ -586,8 +527,6 @@ func FindINDs(db *Database, opts Options) (*Result, error) {
 	switch opts.Algorithm {
 	case BruteForce:
 		res, err = ind.BruteForce(cands, ind.BruteForceOptions{Counter: &counter, Store: readDS, Transitivity: opts.Transitivity})
-	case BruteForceParallel:
-		res, err = ind.BruteForceParallel(cands, ind.ParallelOptions{Counter: &counter, Store: readDS, Workers: opts.Workers})
 	case SinglePass:
 		res, err = ind.SinglePass(cands, ind.SinglePassOptions{Counter: &counter, Store: readDS})
 	case SinglePassBlocked:
@@ -595,18 +534,7 @@ func FindINDs(db *Database, opts Options) (*Result, error) {
 			DepBlock: opts.DepBlock, RefBlock: opts.RefBlock, Counter: &counter, Store: readDS,
 		})
 	case SpiderMerge:
-		if opts.Shards > 1 {
-			smOpts := ind.ShardedMergeOptions{
-				Counter: &counter, Store: readDS, Shards: opts.Shards, Workers: opts.MergeWorkers,
-				Planner: opts.Planner.internal(),
-			}
-			if sharedSrc != nil {
-				smOpts.Source = sharedSrc
-			}
-			res, err = ind.ShardedSpiderMerge(cands, smOpts)
-			break
-		}
-		smOpts := ind.SpiderMergeOptions{Counter: &counter, Store: readDS}
+		smOpts := ind.SpiderMergeOptions{Counter: &counter, Store: readDS, Shards: opts.Shards, Workers: opts.MergeWorkers}
 		if streamSrc != nil {
 			smOpts.Source = streamSrc
 		}
@@ -660,7 +588,7 @@ func exportWorkers(opts Options) int {
 
 func needsFiles(a Algorithm) bool {
 	switch a {
-	case BruteForce, BruteForceParallel, SinglePass, SinglePassBlocked, SpiderMerge:
+	case BruteForce, SinglePass, SinglePassBlocked, SpiderMerge:
 		return true
 	default:
 		return false
