@@ -318,14 +318,12 @@ func BenchmarkShardedSpiderMerge(b *testing.B) {
 }
 
 // BenchmarkShardedStreaming runs the fully streaming sharded pipeline:
-// frozen spill runs replayed once per shard, no value files at all.
+// in-memory sorted sets replayed once per shard, no value files at all.
 func BenchmarkShardedStreaming(b *testing.B) {
 	ds := benchDataset(b, "uniprot")
 	for i := 0; i < b.N; i++ {
 		var counter valfile.ReadCounter
-		src, err := ind.StreamAttributes(ds.DB, ds.Attrs, ind.ExportConfig{
-			Sort: extsort.Config{TempDir: b.TempDir()},
-		}, &counter)
+		src, err := ind.StreamAttributes(ds.DB, ds.Attrs, ind.ExportConfig{}, &counter)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -365,15 +363,13 @@ func BenchmarkExportWorkers(b *testing.B) {
 }
 
 // BenchmarkStreamingSpiderMerge runs the fully streaming pipeline —
-// values flow from the relation store through external-sort spill runs
+// values flow from the relation store through in-memory sorted sets
 // straight into the heap merge, never materializing value files.
 func BenchmarkStreamingSpiderMerge(b *testing.B) {
 	ds := benchDataset(b, "uniprot")
 	for i := 0; i < b.N; i++ {
 		var counter valfile.ReadCounter
-		src, err := ind.StreamAttributes(ds.DB, ds.Attrs, ind.ExportConfig{
-			Sort: extsort.Config{TempDir: b.TempDir()},
-		}, &counter)
+		src, err := ind.StreamAttributes(ds.DB, ds.Attrs, ind.ExportConfig{}, &counter)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -31,7 +31,7 @@ func main() {
 	depBlock := flag.Int("depblock", 64, "dependent block size (single-pass-blocked)")
 	refBlock := flag.Int("refblock", 0, "referenced block size (single-pass-blocked; 0 = all)")
 	exportWorkers := flag.Int("exportworkers", 0, "attribute export workers (0 = GOMAXPROCS, 1 = sequential)")
-	streaming := flag.Bool("streaming", false, "stream values from sort spill runs, skipping value files (spider-merge)")
+	streaming := flag.Bool("streaming", false, "serve sorted value sets from memory (n-ary tuples from sort spill runs), skipping value files (spider-merge)")
 	shards := flag.Int("shards", 0, "value-range shards merged concurrently (spider-merge; 0/1 = single merge)")
 	mergeWorkers := flag.Int("mergeworkers", 0, "shard worker pool size (0 = min(shards, GOMAXPROCS))")
 	partial := flag.Float64("partial", 0, "discover partial INDs at this threshold σ in (0, 1] instead of exact INDs")

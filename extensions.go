@@ -45,8 +45,8 @@ type PartialOptions struct {
 	// pass over all attributes via the count-carrying k-way heap merge).
 	// Both return identical results.
 	Algorithm Algorithm
-	// Streaming (SpiderMerge only) streams sorted values directly from
-	// external-sort spill runs instead of materializing value files.
+	// Streaming (SpiderMerge only) serves each attribute's sorted
+	// distinct set from memory instead of materializing value files.
 	Streaming bool
 	// Shards (SpiderMerge only) partitions the canonical value space into
 	// that many disjoint ranges merged concurrently; 0 or 1 keeps the
@@ -78,8 +78,8 @@ type PartialOptions struct {
 	// package defaults).
 	SketchK                 int
 	SketchBloomBitsPerValue int
-	// Format selects the on-disk encoding of exported value files and
-	// frozen spill runs; see Options.Format.
+	// Format selects the on-disk encoding of exported value files; see
+	// Options.Format.
 	Format Format
 	// Store selects the dataset backend; see Options.Store.
 	Store *Store
@@ -137,7 +137,6 @@ func FindPartialINDs(db *Database, opts PartialOptions) ([]PartialIND, Stats, er
 	exportCfg := ind.ExportConfig{
 		Dataset: writeDS,
 		Dir:     workDir, Workers: workerPool(opts.ExportWorkers),
-		Sort:     extsort.Config{TempDir: opts.WorkDir, Format: opts.Format.internal()},
 		Format:   opts.Format.internal(),
 		Sketches: opts.SketchPrefilter,
 		SketchConfig: sketch.Config{
@@ -476,7 +475,6 @@ func FindEmbeddedINDsWith(db *Database, opts EmbeddedOptions) ([]EmbeddedIND, St
 	attrs, err := ind.Prepare(db.rel, ind.ExportConfig{
 		Dataset: writeDS,
 		Dir:     workDir,
-		Sort:    extsort.Config{Format: opts.Format.internal()},
 		Format:  opts.Format.internal(),
 	})
 	if err != nil {

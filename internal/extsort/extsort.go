@@ -1,10 +1,13 @@
 // Package extsort provides external merge sort with duplicate elimination.
 // It plays the role of the RDBMS sort in the paper's database-external
-// approaches (Sec 3): "We first extract from the database the sorted sets
-// of distinct values of each attribute using SQL" — here, each attribute's
-// bag of values v(a) is pushed through a Sorter, which spills sorted
+// approaches (Sec 3) for value sets that are not held in memory anyway:
+// a bag of values is pushed through a Sorter, which spills sorted
 // deduplicated runs to disk when its memory budget is exceeded and k-way
-// merges them into the final sorted distinct set s(a).
+// merges them into the final sorted distinct set. Its users are the
+// n-ary tuple lists and the embedded derived sets. Unary extraction
+// does not sort here: its statistics pass already holds each attribute's
+// distinct set, which it sorts once in memory; FromSorted wraps such a
+// set as frozen Runs for the streaming merge.
 package extsort
 
 import (
@@ -426,6 +429,12 @@ func (s *Sorter) Freeze() (*Runs, error) {
 	s.runs, s.buf = nil, nil // ownership moves to the handle
 	return r, nil
 }
+
+// FromSorted wraps an already sorted, duplicate-free value set as frozen
+// runs with no spill files, so in-memory value sets are served through
+// the same handle as spilled ones. The Runs keeps vals; the caller must
+// not modify it afterwards.
+func FromSorted(vals []string) *Runs { return &Runs{mem: vals} }
 
 // OpenRange returns a fresh merge cursor over the frozen runs, bounded to
 // [bounds.Lo, bounds.Hi). It is safe to call concurrently; every cursor

@@ -131,11 +131,10 @@ type ExportConfig struct {
 	// dataset rooted at Dir in the configured Format — the historical
 	// files-on-disk layout.
 	Dataset store.Dataset
-	// Dir receives one value file per attribute when Dataset is nil; it
-	// also hosts the sorter's spill runs unless Sort.TempDir overrides.
+	// Dir receives one value file per attribute when Dataset is nil.
+	// Extraction writes nothing else: each attribute's distinct set is
+	// sorted in memory, so no spill runs are created.
 	Dir string
-	// Sort configures the external sorter.
-	Sort extsort.Config
 	// Workers bounds the export worker pool. Attributes are independent —
 	// each worker scans its own column and writes its own file — so
 	// extraction scales with cores. Zero or one exports sequentially.
@@ -149,10 +148,9 @@ type ExportConfig struct {
 	// SketchConfig sizes the sketches; the zero value selects the
 	// sketch package defaults.
 	SketchConfig sketch.Config
-	// Format selects the value-file encoding (and the spill-run encoding,
-	// via Sort.Format). The zero value is the text format. Block-format
-	// exports embed the sketch inside the value file instead of writing a
-	// sidecar, so one attribute is one file open.
+	// Format selects the value-file encoding. The zero value is the text
+	// format. Block-format exports embed the sketch inside the value file
+	// instead of writing a sidecar, so one attribute is one file open.
 	Format valfile.Format
 }
 
@@ -175,11 +173,7 @@ func ExportAttributes(db *relstore.Database, attrs []*Attribute, cfg ExportConfi
 		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 			return fmt.Errorf("ind: %w", err)
 		}
-		if cfg.Sort.TempDir == "" {
-			cfg.Sort.TempDir = cfg.Dir
-		}
 	}
-	cfg.Sort.Format = cfg.Format
 	return forEachAttribute(attrs, cfg.Workers, func(a *Attribute) error {
 		return exportAttribute(db, a, cfg, ds)
 	})
@@ -236,11 +230,10 @@ func forEachAttribute(attrs []*Attribute, workers int, fn func(*Attribute) error
 // exportAttribute extracts, sorts and stages one attribute's value set
 // into ds, persisting the sketch the extraction built when configured.
 func exportAttribute(db *relstore.Database, a *Attribute, cfg ExportConfig, ds store.Dataset) error {
-	sorter, err := extract(db, a, cfg)
+	vals, err := extract(db, a, cfg)
 	if err != nil {
 		return err
 	}
-	defer sorter.Discard() // no-op after DrainTo; reclaims runs on early error
 	key := attrFileName(a)
 	w, err := ds.Create(key)
 	if err != nil {
@@ -251,12 +244,15 @@ func exportAttribute(db *relstore.Database, a *Attribute, cfg ExportConfig, ds s
 		removeIfPresent(ds, key)
 		return err
 	}
-	n, _, meta, err := sorter.DrainTo(w, nil)
-	if err != nil {
-		return abort(err)
+	for _, v := range vals {
+		if err := w.Append(v); err != nil {
+			return abort(err)
+		}
 	}
 	// The run metadata always rides along; backends that cannot carry it
-	// (the text encoding) drop it, exactly as before the storage seam.
+	// (the text encoding) drop it. The set was sorted in memory, so no
+	// spill run fed it.
+	meta := extsort.RunMeta{Added: int64(a.NonNull)}
 	if err := w.SetSection(valfile.RunMetaSection, meta.Encode()); err != nil {
 		return abort(err)
 	}
@@ -275,11 +271,6 @@ func exportAttribute(db *relstore.Database, a *Attribute, cfg ExportConfig, ds s
 	if err := w.Close(); err != nil {
 		removeIfPresent(ds, key)
 		return err
-	}
-	// The sorter's deduplication and the statistics' hash set count the
-	// distinct values independently; a mismatch means one of them is wrong.
-	if n != a.Distinct {
-		return fmt.Errorf("ind: %s: exported %d distinct values, stats say %d", a.Ref, n, a.Distinct)
 	}
 	a.Key = key
 	if fs, ok := ds.(*store.FS); ok {
@@ -330,73 +321,60 @@ func LoadSketches(ds store.Dataset, attrs []*Attribute) error {
 }
 
 // extract scans the attribute's column once: each non-null value is
-// canonicalised once, and that string feeds both a fresh external sorter
-// and the column's statistics accumulator (NULLs feed the accumulator
-// only). It sets the attribute's statistics and, when cfg asks for
-// sketches, builds the sketch from the scan's distinct set, sized by the
-// exact distinct count. On error every spill run the sorter already
-// wrote is removed.
-func extract(db *relstore.Database, a *Attribute, cfg ExportConfig) (*extsort.Sorter, error) {
+// canonicalised once and recorded in the column's statistics accumulator
+// (NULLs are counted only). It sets the attribute's statistics, sorts the
+// accumulator's distinct set once — the attribute's sorted distinct set
+// s(a), which it returns — and, when cfg asks for sketches, builds the
+// sketch from that set, sized by the exact distinct count.
+func extract(db *relstore.Database, a *Attribute, cfg ExportConfig) ([]string, error) {
 	t := db.Table(a.Ref.Table)
 	if t == nil {
 		return nil, fmt.Errorf("ind: unknown table %q", a.Ref.Table)
 	}
-	sorter := extsort.New(cfg.Sort)
 	var acc relstore.StatsAccumulator
-	var addErr error
-	_, err := t.ScanColumn(a.Ref.Column, func(v value.Value) {
-		if addErr != nil {
-			return
-		}
+	if _, err := t.ScanColumn(a.Ref.Column, func(v value.Value) {
 		if v.IsNull() {
 			acc.AddNull()
 			return
 		}
-		c := v.Canonical()
-		acc.Add(c)
-		addErr = sorter.Add(c)
-	})
-	if err == nil {
-		err = addErr
-	}
-	if err != nil {
-		sorter.Discard()
+		acc.Add(v.Canonical())
+	}); err != nil {
 		return nil, err
 	}
 	a.setStats(acc.Stats())
+	vals := acc.SortedDistinct()
 	if cfg.Sketches {
 		b := sketch.NewBuilder(cfg.SketchConfig, a.Distinct)
-		acc.EachDistinct(b.Add)
+		for _, v := range vals {
+			b.Add(v)
+		}
 		a.Sketch = b.Finish()
 	}
-	return sorter, nil
+	return vals, nil
 }
 
-// StreamAttributes extracts every attribute into an external sorter and
-// freezes it into runs (extsort.Runs) — the fully streaming pipeline,
-// which never materializes final value files. The returned RunsSource
-// opens each attribute any number of times, optionally bounded to a
-// value range, so the merge streams straight from the spill runs
-// whether it runs once or once per shard. Freezing (final sort and
-// deduplication of the in-memory tail, intermediate merge passes) runs
-// on the same bounded worker pool as ExportAttributes (cfg.Workers).
-// Attribute.Path stays empty; cfg.Dir is unused. counter may be nil.
+// StreamAttributes extracts every attribute and keeps its sorted distinct
+// set in memory as frozen runs (extsort.FromSorted) — the fully streaming
+// pipeline, which writes neither value files nor spill runs. The
+// returned RunsSource opens each attribute any number of times,
+// optionally bounded to a value range, so the merge reads straight from
+// memory whether it runs once or once per shard. Every attribute's
+// sorted set stays in memory until the source is closed: streaming
+// holds memory proportional to the total number of distinct values
+// where an external sorter would have written spill runs for the long
+// attributes. Extraction runs on the same bounded worker pool as
+// ExportAttributes (cfg.Workers). Attribute.Path stays empty; cfg.Dir
+// is unused. counter may be nil.
 func StreamAttributes(db *relstore.Database, attrs []*Attribute, cfg ExportConfig, counter *valfile.ReadCounter) (*RunsSource, error) {
-	cfg.Sort.Format = cfg.Format
 	src := NewRunsSource(counter)
 	var mu sync.Mutex
 	err := forEachAttribute(attrs, cfg.Workers, func(a *Attribute) error {
-		sorter, err := extract(db, a, cfg)
-		if err != nil {
-			return err
-		}
-		defer sorter.Discard() // no-op once Freeze moved ownership to runs
-		runs, err := sorter.Freeze()
+		vals, err := extract(db, a, cfg)
 		if err != nil {
 			return err
 		}
 		mu.Lock()
-		src.Add(a, runs)
+		src.Add(a, extsort.FromSorted(vals))
 		mu.Unlock()
 		return nil
 	})

@@ -499,7 +499,6 @@ func mergeUnarySeed(db *relstore.Database, eligible []*Attribute, opts NaryOptio
 	exportCfg := ExportConfig{
 		Dir:     workDir,
 		Dataset: seedDS,
-		Sort:    extsort.Config{TempDir: workDir, Format: opts.Sort.Format},
 		Workers: naryWorkers(opts.ExportWorkers),
 		Format:  opts.Sort.Format,
 	}

@@ -3,10 +3,8 @@ package ind
 import (
 	"fmt"
 
-	"spider/internal/extsort"
 	"spider/internal/relstore"
 	"spider/internal/sketch"
-	"spider/internal/valfile"
 	"spider/internal/value"
 )
 
@@ -132,28 +130,4 @@ func BuildAttributeSketches(db *relstore.Database, attrs []*Attribute, cfg sketc
 		a.Sketch = b.Finish()
 		return nil
 	})
-}
-
-// SketchFromRuns derives a sketch from an attribute's frozen
-// external-sort runs — the persistence point incremental re-runs hold on
-// to — by replaying the sorted distinct stream once. distinct is the
-// attribute's known distinct count (it sizes the bloom filter).
-func SketchFromRuns(runs *extsort.Runs, cfg sketch.Config, distinct int) (*sketch.Sketch, error) {
-	cur, err := runs.OpenRange(valfile.Range{}, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer cur.Close()
-	b := sketch.NewBuilder(cfg, distinct)
-	for {
-		v, ok := cur.Next()
-		if !ok {
-			break
-		}
-		b.Add(v)
-	}
-	if err := cur.Err(); err != nil {
-		return nil, err
-	}
-	return b.Finish(), nil
 }

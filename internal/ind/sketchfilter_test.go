@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"testing"
 
-	"spider/internal/extsort"
 	"spider/internal/sketch"
 )
 
@@ -205,7 +204,7 @@ func TestStreamingSketchesMatchExport(t *testing.T) {
 			t.Fatal(err)
 		}
 		src, err := StreamAttributes(db, streamed, ExportConfig{
-			Sort: extsort.Config{TempDir: t.TempDir()}, Workers: workers, Sketches: true,
+			Workers: workers, Sketches: true,
 		}, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -241,41 +240,5 @@ func TestBuildAttributeSketchesMatchesExport(t *testing.T) {
 		if !reflect.DeepEqual(scanned[i].Sketch, exported[i].Sketch) {
 			t.Fatalf("%s: scanned sketch differs from export sketch", exported[i].Ref)
 		}
-	}
-}
-
-// TestSketchFromRuns: a sketch derived from frozen spill runs equals the
-// one built during extraction.
-func TestSketchFromRuns(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	vals := make([]string, 500)
-	for i := range vals {
-		vals[i] = fmt.Sprintf("v%03d", rng.Intn(200))
-	}
-	distinct := make(map[string]struct{})
-	for _, v := range vals {
-		distinct[v] = struct{}{}
-	}
-	sorter := extsort.New(extsort.Config{TempDir: t.TempDir(), MaxInMemory: 64})
-	want := sketch.NewBuilder(sketch.Config{}, len(distinct))
-	for _, v := range vals {
-		if err := sorter.Add(v); err != nil {
-			t.Fatal(err)
-		}
-		// Add (not AddHash) so the expected sketch retains the value
-		// sample exactly as the runs replay does.
-		want.Add(v)
-	}
-	runs, err := sorter.Freeze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer runs.Close()
-	got, err := SketchFromRuns(runs, sketch.Config{}, len(distinct))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want.Finish()) {
-		t.Fatal("runs-derived sketch differs from extraction-time sketch")
 	}
 }

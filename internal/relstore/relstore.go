@@ -8,6 +8,7 @@ package relstore
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"spider/internal/value"
@@ -106,12 +107,15 @@ func (a *StatsAccumulator) Stats() ColumnStats {
 	return s
 }
 
-// EachDistinct calls fn once per distinct canonical value recorded so
-// far, in no particular order.
-func (a *StatsAccumulator) EachDistinct(fn func(canonical string)) {
+// SortedDistinct returns the distinct canonical values recorded so far
+// in ascending order: the column's sorted distinct set s(a).
+func (a *StatsAccumulator) SortedDistinct() []string {
+	out := make([]string, 0, len(a.distinct))
 	for c := range a.distinct {
-		fn(c)
+		out = append(out, c)
 	}
+	slices.Sort(out)
+	return out
 }
 
 // Database is a catalog of tables plus declared foreign keys.

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -158,16 +159,16 @@ func TestStatsAccumulatorMatchesColumnStats(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seen := map[string]bool{}
-		acc.EachDistinct(func(v string) { seen[v] = true })
-		if len(seen) != len(distinct) {
-			t.Errorf("%s: EachDistinct saw %d values, want %d", c.Name, len(seen), len(distinct))
+		if got := acc.SortedDistinct(); !slices.Equal(got, distinct) {
+			t.Errorf("%s: SortedDistinct = %q, DistinctCanonical = %q", c.Name, got, distinct)
 		}
-		for _, v := range distinct {
-			if !seen[v] {
-				t.Errorf("%s: EachDistinct missed %q", c.Name, v)
-			}
-		}
+	}
+	var allNull StatsAccumulator
+	for i := 0; i < 3; i++ {
+		allNull.AddNull()
+	}
+	if got := allNull.SortedDistinct(); len(got) != 0 {
+		t.Errorf("all-NULL column: SortedDistinct = %q, want none", got)
 	}
 	var empty StatsAccumulator
 	if got := empty.Stats(); got != (ColumnStats{}) {

@@ -27,6 +27,11 @@ import (
 // is zero.
 const DefaultCacheSize = 1024
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so clients that open connections and stall (a
+// slowloris) cannot hold them, and their goroutines, open for ever.
+const readHeaderTimeout = 10 * time.Second
+
 // Config describes what the server loads and how it serves it.
 type Config struct {
 	// Specs lists the datasets to load from disk. Reload re-resolves
@@ -89,7 +94,7 @@ func New(cfg Config) (*Server, error) {
 	s.gen.Store(1)
 	s.state.Store(st)
 	s.routes()
-	s.httpSrv = &http.Server{Handler: s.mux}
+	s.httpSrv = &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout}
 	return s, nil
 }
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -15,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"spider/internal/extsort"
 	"spider/internal/ind"
 	"spider/internal/relstore"
 	"spider/internal/store"
@@ -73,7 +73,6 @@ func buildFixture(t testing.TB) *fixture {
 	attrs, err := ind.Prepare(db, ind.ExportConfig{
 		Dataset:  mem,
 		Sketches: true,
-		Sort:     extsort.Config{TempDir: t.TempDir()},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -548,6 +547,51 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 	if err := <-serveErr; err != http.ErrServerClosed {
 		t.Fatalf("Serve: %v", err)
+	}
+}
+
+// TestStalledHeadersCloseConnection opens a raw connection that sends a
+// request line and then stalls before finishing its headers: the server
+// must close it once the header timeout passes instead of holding it
+// open.
+func TestStalledHeadersCloseConnection(t *testing.T) {
+	s := newTestServer(t, buildFixture(t))
+	if s.httpSrv.ReadHeaderTimeout <= 0 {
+		t.Fatal("the server sets no read-header timeout")
+	}
+	s.httpSrv.ReadHeaderTimeout = 100 * time.Millisecond // keep the test fast
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- s.Serve(ln) }()
+	defer func() {
+		if err := s.Shutdown(context.Background()); err != nil {
+			t.Errorf("Shutdown: %v", err)
+		}
+		if err := <-serveErr; err != http.ErrServerClosed {
+			t.Errorf("Serve: %v", err)
+		}
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := conn.SetReadDeadline(start.Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	// Whatever the server writes before closing, the read ends at EOF.
+	_, err = io.Copy(io.Discard, conn)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("connection still open after %v with unfinished headers", time.Since(start).Round(time.Millisecond))
 	}
 }
 

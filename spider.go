@@ -15,8 +15,9 @@
 // Beyond the paper it adds modern extensions: an in-memory baseline and
 // SpiderMerge — a k-way heap merge over streaming value cursors that
 // keeps the single-pass I/O optimum without its synchronisation
-// overhead, optionally consuming external-sort spill runs directly
-// (Options.Streaming) with parallel attribute export.
+// overhead, optionally reading each attribute's sorted value set
+// straight from memory (Options.Streaming) with parallel attribute
+// export.
 //
 // Quick start:
 //
@@ -33,7 +34,6 @@ import (
 	"time"
 
 	"spider/internal/datagen"
-	"spider/internal/extsort"
 	"spider/internal/ind"
 	"spider/internal/relstore"
 	"spider/internal/sketch"
@@ -189,9 +189,11 @@ type Options struct {
 	// ExportWorkers bounds the attribute-export worker pool; 0 selects
 	// GOMAXPROCS, 1 exports sequentially (the paper's behaviour).
 	ExportWorkers int
-	// Streaming (SpiderMerge only) streams sorted values directly from
-	// external-sort spill runs instead of materializing one value file
-	// per attribute — export and verification become a single pipeline.
+	// Streaming (SpiderMerge only) serves each attribute's sorted
+	// distinct set from memory, where extraction sorted it, instead of
+	// materializing one value file per attribute — export and
+	// verification become a single pipeline. Every attribute's distinct
+	// set then stays in RAM until the merge ends.
 	Streaming bool
 	// Shards (SpiderMerge only) partitions the canonical value space into
 	// that many disjoint ranges and runs one independent heap merge per
@@ -230,14 +232,14 @@ type Options struct {
 	// behaviour the paper could not obtain from the commercial optimizer.
 	SQLEarlyStop bool
 	// Format selects the value-file encoding (FormatText or FormatBlock)
-	// for exported attributes and spill runs. The discovered INDs are
+	// for exported attributes. The discovered INDs are
 	// identical under either format.
 	Format Format
 	// Store selects the dataset backend extraction writes to and the
 	// engines read from (NewFSStore, NewMemStore, NewSnapshotStore).
 	// nil keeps the historical layout: value files under WorkDir. The
 	// Streaming paths bypass the store — they serve cursors straight
-	// from sort runs.
+	// from the in-memory sorted sets.
 	Store *Store
 }
 
@@ -474,7 +476,7 @@ func FindINDs(db *Database, opts Options) (*Result, error) {
 	}
 
 	// Extraction. Value cursors come from exported files, or — with
-	// Streaming — straight from external-sort spill runs built here,
+	// Streaming — straight from the in-memory sorted sets built here,
 	// before candidate generation, so that statistics and sketches
 	// (derived in the same extraction pass) exist by the time the
 	// pretests and the pre-filter run.
@@ -482,7 +484,6 @@ func FindINDs(db *Database, opts Options) (*Result, error) {
 	exportCfg := ind.ExportConfig{
 		Dataset: writeDS,
 		Dir:     workDir, Workers: exportWorkers(opts),
-		Sort:     extsort.Config{TempDir: opts.WorkDir, Format: opts.Format.internal()},
 		Sketches: opts.SketchPrefilter, SketchConfig: opts.sketchConfig(),
 		Format: opts.Format.internal(),
 	}

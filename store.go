@@ -16,8 +16,8 @@ import (
 //   - NewFSStore: value files on disk, in the text or block encoding —
 //     the paper's layout. Extraction output survives the run and can be
 //     inspected or re-served.
-//   - NewMemStore: everything in memory. No files are created (sort
-//     spills excepted); extraction and verification run against sorted
+//   - NewMemStore: everything in memory. No files are created (n-ary
+//     and embedded sort spills excepted); extraction and verification run against sorted
 //     in-memory slices.
 //   - NewSnapshotStore: extraction lands in memory, and the engines
 //     read through an immutable read-only snapshot that caches each
@@ -49,7 +49,8 @@ func NewFSStore(dir string, format Format) *Store {
 }
 
 // NewMemStore returns an in-memory store: extraction writes sorted
-// slices, engines read them, nothing touches disk except sort spills.
+// slices, engines read them, nothing touches disk except the n-ary and
+// embedded paths' sort spills.
 func NewMemStore() *Store {
 	return &Store{kind: storeKindMem, mem: store.NewMem()}
 }
